@@ -4,7 +4,8 @@
 #
 #  1. Every key in kKnownSetKeys (src/pipeline/overrides.cpp, the
 #     single source of truth for --set / request "set" keys) must
-#     appear in BUILDING.md's knob table.
+#     appear in BUILDING.md's knob table, and every key of that table
+#     must be in kKnownSetKeys (no stale rows for deleted knobs).
 #  2. The service documentation set must exist and be linked from
 #     BUILDING.md.
 #
@@ -40,6 +41,25 @@ while IFS= read -r key; do
     fi
 done <<<"$keys"
 echo "checked $count --set keys against $building"
+
+# The reverse direction: the first-column key of every row in the
+# "Flow parameter knobs" table must still be a known --set key.
+rows=$(awk '/^## Flow parameter knobs/ {on = 1; next} /^## / {on = 0}
+            on' "$building" |
+    sed -n 's/^| `\([^`]*\)` |.*/\1/p')
+if [[ -z "$rows" ]]; then
+    echo "FAIL: could not extract the --set table from $building" >&2
+    exit 1
+fi
+count=0
+while IFS= read -r row; do
+    count=$((count + 1))
+    if ! grep -q -x -F "$row" <<<"$keys"; then
+        echo "FAIL: $building documents '$row', which is not in kKnownSetKeys" >&2
+        fail=1
+    fi
+done <<<"$rows"
+echo "checked $count $building knob rows against kKnownSetKeys"
 
 # Every qplacer_server CLI flag must be documented in BUILDING.md.
 server_main=tools/qplacer_server.cpp

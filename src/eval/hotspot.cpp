@@ -9,6 +9,18 @@
 
 namespace qplacer {
 
+bool
+isHotspotPair(const Instance &a, const Instance &b,
+              const HotspotParams &params, double &gapUm)
+{
+    if (a.resonator >= 0 && a.resonator == b.resonator)
+        return false; // same physical resonator
+    if (!isResonant(a.freqHz, b.freqHz, params.detuningThresholdHz))
+        return false;
+    gapUm = a.paddedRect().gap(b.paddedRect());
+    return gapUm <= params.adjacencyTolUm;
+}
+
 HotspotReport
 analyzeHotspots(const Netlist &netlist, HotspotParams params)
 {
@@ -38,15 +50,10 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
             if (other <= inst.id)
                 continue; // each unordered pair once
             const Instance &o = instances[other];
-            if (inst.resonator >= 0 && inst.resonator == o.resonator)
-                continue; // same physical resonator
-            if (!isResonant(inst.freqHz, o.freqHz,
-                            params.detuningThresholdHz))
+            double gap = 0.0;
+            if (!isHotspotPair(inst, o, params, gap))
                 continue;
             const Rect theirs = o.paddedRect();
-            const double gap = mine.gap(theirs);
-            if (gap > params.adjacencyTolUm)
-                continue;
 
             HotspotPair pair;
             pair.a = inst.id;

@@ -48,6 +48,15 @@ struct HotspotParams
     double detuningThresholdHz = kDetuningThresholdHz;
 };
 
+/**
+ * The one spatial-violation predicate, shared by the evaluator and the
+ * annealer: @p a and @p b are not segments of one resonator, are
+ * near-resonant, and their padded footprints are at most
+ * adjacencyTolUm apart. On true, @p gapUm holds that gap.
+ */
+bool isHotspotPair(const Instance &a, const Instance &b,
+                   const HotspotParams &params, double &gapUm);
+
 /** Scan a placed netlist for hotspots. */
 HotspotReport analyzeHotspots(const Netlist &netlist,
                               HotspotParams params = {});

@@ -88,7 +88,11 @@ struct AssignerParams
     /** Also separate distance-2 qubit pairs in frequency when possible. */
     bool distance2 = true;
 
-    /** Implementation to run (--set assigner.referenceEngine=1). */
+    /**
+     * Implementation to run. Reference is the O(n^2) DSATUR scan, kept
+     * as the oracle of the assign equivalence suite and the
+     * assign_scale identity gate; colourings are identical.
+     */
     AssignEngine engine = AssignEngine::Fast;
 };
 

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "freq/spectrum.hpp"
 #include "legal/occupancy.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -26,13 +25,6 @@ constexpr double kFidelityWeight = 4.0;
 /** Relocation reach per axis, in occupancy cells. */
 constexpr int kRelocateReachCells = 4;
 
-/** Segments of one resonator are exempt, exactly like eval/hotspot. */
-bool
-sameResonator(const Instance &a, const Instance &b)
-{
-    return a.resonator >= 0 && a.resonator == b.resonator;
-}
-
 /** Collision count + fidelity hinge of a set of hotspot pairs. */
 struct PairStats
 {
@@ -47,25 +39,6 @@ struct PairStats
         return *this;
     }
 };
-
-/**
- * The near-resonant-adjacency predicate of eval/hotspot.hpp: true when
- * the pair is a spatial violation, with the hinge depth in @p hinge.
- */
-bool
-hotspotPair(const Instance &a, const Instance &b,
-            const HotspotParams &hotspot, double &hinge)
-{
-    if (sameResonator(a, b))
-        return false;
-    if (!isResonant(a.freqHz, b.freqHz, hotspot.detuningThresholdHz))
-        return false;
-    const double gap = a.paddedRect().gap(b.paddedRect());
-    if (gap > hotspot.adjacencyTolUm)
-        return false;
-    hinge = hotspot.adjacencyTolUm - gap;
-    return true;
-}
 
 /** One proposed move: a relocation of i, or a swap when j >= 0. */
 struct Proposal
@@ -146,11 +119,11 @@ class Walk
             for (const std::int32_t o : ownerScratch_) {
                 if (o <= inst.id)
                     continue; // Count each unordered pair once.
-                double hinge = 0.0;
-                if (hotspotPair(inst, netlist_.instance(o), hotspot_,
-                                hinge)) {
+                double gap = 0.0;
+                if (isHotspotPair(inst, netlist_.instance(o), hotspot_,
+                                  gap)) {
                     ++total.count;
-                    total.hinge += hinge;
+                    total.hinge += hotspot_.adjacencyTolUm - gap;
                 }
             }
         }
@@ -171,10 +144,10 @@ class Walk
         for (const std::int32_t o : ownerScratch_) {
             if (o == m || o == exclude)
                 continue;
-            double hinge = 0.0;
-            if (hotspotPair(mine, netlist_.instance(o), hotspot_, hinge)) {
+            double gap = 0.0;
+            if (isHotspotPair(mine, netlist_.instance(o), hotspot_, gap)) {
                 ++stats.count;
-                stats.hinge += hinge;
+                stats.hinge += hotspot_.adjacencyTolUm - gap;
             }
         }
         return stats;
@@ -285,9 +258,9 @@ detailedObjective(const Netlist &netlist, const HotspotParams &hotspot)
     const auto &instances = netlist.instances();
     for (std::size_t a = 0; a < instances.size(); ++a) {
         for (std::size_t b = a + 1; b < instances.size(); ++b) {
-            double hinge = 0.0;
-            if (hotspotPair(instances[a], instances[b], hotspot, hinge))
-                hinge_total += hinge;
+            double gap = 0.0;
+            if (isHotspotPair(instances[a], instances[b], hotspot, gap))
+                hinge_total += hotspot.adjacencyTolUm - gap;
         }
     }
     return layoutHpwl(netlist) + kFidelityWeight * hinge_total;

@@ -37,7 +37,11 @@ struct PartitionParams
     double qubitPadUm = kQubitPadUm;     ///< d_q.
     double resonatorPadUm = kResonatorPadUm; ///< d_r.
 
-    /** Builder path (--set builder.reference=1 for the baseline). */
+    /**
+     * Builder path. Reference is the sequential append-order builder,
+     * kept as the oracle of the assign equivalence suite and the
+     * assign_scale identity gate; netlists are bitwise-identical.
+     */
     BuildEngine buildEngine = BuildEngine::Fast;
 
     /**

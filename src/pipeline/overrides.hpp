@@ -1,11 +1,12 @@
 /**
  * @file
- * The user-facing `--set KEY=VALUE` knob surface, shared by the CLI,
- * the server protocol ("set" maps in submit requests), and the doc
- * lint (scripts/check_knob_docs.sh greps kKnownSetKeys so BUILDING.md
- * cannot silently drop a knob). Only leaf-value mapping lives here;
- * cross-parameter consistency (detuning propagation, targetUtil
- * mirroring, range validation) stays in FlowParams::normalized().
+ * The user-facing `--set KEY=VALUE` knob surface, shared by the CLI
+ * (including its --help key list), the server protocol ("set" maps in
+ * submit requests), and the doc lint (scripts/check_knob_docs.sh
+ * checks kKnownSetKeys and BUILDING.md's knob table against each
+ * other). Only leaf-value mapping lives here; cross-parameter
+ * consistency (detuning propagation, targetUtil mirroring, range
+ * validation) stays in FlowParams::normalized().
  */
 
 #ifndef QPLACER_PIPELINE_OVERRIDES_HPP

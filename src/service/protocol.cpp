@@ -541,8 +541,8 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
                      r.hotspots.impactedQubits.size())));
     job.set("hotspots", std::move(hotspots));
 
-    // The CLI's fidelity proxy needs circuit evaluation the service
-    // does not run; null keeps the job shape compatible.
+    // The fidelity proxy needs circuit evaluation the service does not
+    // run; the CLI sets it in place, keeping the member order.
     job.set("fidelity", JsonValue::null());
 
     if (r.detailed.ran) {

@@ -175,12 +175,12 @@ JsonValue makeIteration(const std::string &id, int iteration,
 JsonValue makeResult(const std::string &id, JsonValue report);
 
 /**
- * One job object in the qplacer.flow_report/1 shape the CLI's
- * --report json emits (docs/REPORT_SCHEMA.md), plus the additive
- * "incremental" member for warm-started runs, the additive "detailed"
- * member when the annealing stage ran, and the additive "portfolio"
- * member for portfolio runs. The CLI-only fidelity proxy is reported
- * as null.
+ * One job object of the qplacer.flow_report/1 schema
+ * (docs/REPORT_SCHEMA.md): the server's result report and each job of
+ * the CLI's --report json. Adds the "incremental" member for
+ * warm-started runs, "detailed" when the annealing stage ran, and
+ * "portfolio" for portfolio runs. "fidelity" is null; the CLI replaces
+ * it with its evaluated proxy.
  */
 JsonValue jobReportJson(const FlowResult &result, std::uint64_t seed);
 

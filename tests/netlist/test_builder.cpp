@@ -47,6 +47,15 @@ struct CellSpec
     int paper_cells;
 };
 
+// GoogleTest would otherwise name each case after the raw bytes of the
+// spec, which hold the `name` pointer and so change from run to run.
+void
+PrintTo(const CellSpec &spec, std::ostream *os)
+{
+    *os << '(' << spec.name << ", " << spec.lb << ", " << spec.paper_cells
+        << ')';
+}
+
 class TableIICells : public ::testing::TestWithParam<CellSpec>
 {
 };

@@ -136,6 +136,93 @@ if(bad_rc EQUAL 0)
     message(FATAL_ERROR "qplacer_cli accepted --portfolio with --jobs > 1")
 endif()
 
+# --- JSON report: parse --report json back and check the schema. ---
+# The CLI builds each job with the server's jobReportJson, so these
+# members are the flow_report/1 job shape (docs/REPORT_SCHEMA.md).
+if(CMAKE_VERSION VERSION_LESS 3.19)
+    message(FATAL_ERROR "cli_smoke parses JSON with string(JSON), which needs CMake >= 3.19")
+endif()
+
+# check_report(<jobs> <first seed> <fidelity benchmark> <cli args...>)
+function(check_report jobs first_seed benchmark)
+    execute_process(
+        COMMAND "${QPLACER_CLI}" ${ARGN} --report json --quiet
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE json
+        ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "qplacer_cli ${ARGN} --report json exited ${rc}\n${err}")
+    endif()
+    string(STRIP "${json}" json)
+    string(FIND "${json}" "\n" newline)
+    if(NOT newline EQUAL -1)
+        message(FATAL_ERROR "--report json must print one line:\n${json}")
+    endif()
+    string(JSON schema ERROR_VARIABLE json_err GET "${json}" schema)
+    if(json_err OR NOT schema STREQUAL "qplacer.flow_report/1")
+        message(FATAL_ERROR "bad report schema '${schema}' ${json_err}:\n${json}")
+    endif()
+    foreach(field jobs ok)
+        string(JSON value GET "${json}" aggregate ${field})
+        if(NOT value EQUAL jobs)
+            message(FATAL_ERROR "aggregate.${field} = ${value}, expected ${jobs}")
+        endif()
+    endforeach()
+    string(JSON count LENGTH "${json}" jobs)
+    if(NOT count EQUAL jobs)
+        message(FATAL_ERROR "report has ${count} jobs, expected ${jobs}")
+    endif()
+    math(EXPR last "${jobs} - 1")
+    foreach(i RANGE ${last})
+        foreach(member seed status stages cells freq_slots assign build place
+                       legal area hotspots fidelity seconds)
+            string(JSON type ERROR_VARIABLE json_err TYPE "${json}" jobs ${i} ${member})
+            if(json_err)
+                message(FATAL_ERROR "job ${i} lacks '${member}': ${json_err}")
+            endif()
+        endforeach()
+        string(JSON seed GET "${json}" jobs ${i} seed)
+        math(EXPR want_seed "${first_seed} + ${i}")
+        string(JSON code GET "${json}" jobs ${i} status code)
+        if(NOT seed EQUAL want_seed OR NOT code STREQUAL "ok")
+            message(FATAL_ERROR "job ${i}: seed ${seed} status ${code}")
+        endif()
+        string(JSON type TYPE "${json}" jobs ${i} fidelity)
+        string(JSON bench GET "${json}" jobs ${i} fidelity benchmark)
+        if(NOT type STREQUAL "OBJECT" OR NOT bench STREQUAL benchmark)
+            message(FATAL_ERROR "job ${i}: fidelity is ${type} for '${bench}'")
+        endif()
+        foreach(stat mean min max)
+            string(JSON type TYPE "${json}" jobs ${i} fidelity ${stat})
+            if(NOT type STREQUAL "NUMBER")
+                message(FATAL_ERROR "job ${i}: fidelity.${stat} is ${type}")
+            endif()
+        endforeach()
+    endforeach()
+endfunction()
+
+check_report(1 3 bv-9 --topology grid3x3 --seed 3)
+check_report(2 1 bv-9 --topology grid3x3 --jobs 2 --threads 1
+             --set placer.maxIters=120)
+
+# --- Knob surface: --help lists kKnownSetKeys; removed keys are errors. ---
+execute_process(
+    COMMAND "${QPLACER_CLI}" --help
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE help_text)
+string(FIND "${help_text}" "multidie.cutWeight" found)
+if(NOT rc EQUAL 0 OR found EQUAL -1)
+    message(FATAL_ERROR "--help does not list every --set key:\n${help_text}")
+endif()
+execute_process(
+    COMMAND "${QPLACER_CLI}" --topology grid3x3
+            --set legalizer.referenceProbes=1 --quiet
+    RESULT_VARIABLE bad_rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+if(bad_rc EQUAL 0 OR NOT err MATCHES "unknown --set key")
+    message(FATAL_ERROR "removed key legalizer.referenceProbes was accepted (${bad_rc}):\n${err}")
+endif()
+
 # --- Error path: unknown topology must fail cleanly. ---
 execute_process(
     COMMAND "${QPLACER_CLI}" --topology no-such-device --quiet

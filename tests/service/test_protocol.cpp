@@ -218,6 +218,10 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","progress":1e10})",
         R"({"type":"submit","id":"x","topology":"g","progress":0.5})",
         R"({"type":"submit","id":"x","topology":"g","set":{"bogus":1}})",
+        // Reference engines are test oracles, not --set knobs.
+        R"({"type":"submit","id":"x","topology":"g","set":{"assigner.referenceEngine":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"builder.reference":1}})",
+        R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.referenceProbes":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",
         R"({"type":"submit","id":"x","topology":"g","mode":"human","base":"y"})",

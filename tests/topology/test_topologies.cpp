@@ -13,6 +13,15 @@ struct TopoSpec
     int couplers;
 };
 
+// GoogleTest would otherwise name each case after the raw bytes of the
+// spec, which hold the `name` pointer and so change from run to run.
+void
+PrintTo(const TopoSpec &spec, std::ostream *os)
+{
+    *os << '(' << spec.name << ", " << spec.qubits << ", " << spec.couplers
+        << ')';
+}
+
 // Table I qubit counts; coupler counts are the ones implied by the
 // paper's Table II cell counts (see DESIGN.md section 5).
 class PaperTopologies : public ::testing::TestWithParam<TopoSpec>
