@@ -2,10 +2,14 @@
  * @file
  * Frequency collision map (Section IV-C1).
  *
- * Before placement, each instance gets the list of instances it may
- * crosstalk with: those within the detuning threshold, excluding
- * segments of the same resonator (the Kronecker-delta term of Eq. 10).
- * The placement engine iterates only these lists, never all-to-all.
+ * Each instance gets the list of instances it may crosstalk with: those
+ * within the detuning threshold, excluding segments of the same
+ * resonator (the Kronecker-delta term of Eq. 10). This is the reference
+ * enumeration of near-resonant pairs, used by tests (the frequency-
+ * force oracle) and for the benchmark's pair counts. The placement
+ * engine does not build it: its O(pairs) lists grow quadratically with
+ * device size, so the frequency force finds its pairs through a cell
+ * list instead (core/freq_force).
  */
 
 #ifndef QPLACER_FREQ_COLLISION_MAP_HPP

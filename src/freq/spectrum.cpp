@@ -50,10 +50,4 @@ FrequencyBand::resonatorBand()
     return FrequencyBand(kResonatorBandLoHz, kResonatorBandHiHz);
 }
 
-bool
-isResonant(double f1_hz, double f2_hz, double threshold_hz)
-{
-    return std::abs(f1_hz - f2_hz) < threshold_hz;
-}
-
 } // namespace qplacer

@@ -12,6 +12,7 @@
 #ifndef QPLACER_FREQ_SPECTRUM_HPP
 #define QPLACER_FREQ_SPECTRUM_HPP
 
+#include <cmath>
 #include <vector>
 
 #include "physics/constants.hpp"
@@ -57,8 +58,12 @@ struct FrequencyBand
  * within the detuning threshold of each other. Strict comparison so that
  * slots spaced exactly at the threshold count as detuned.
  */
-bool isResonant(double f1_hz, double f2_hz,
-                double threshold_hz = kDetuningThresholdHz);
+inline bool
+isResonant(double f1_hz, double f2_hz,
+           double threshold_hz = kDetuningThresholdHz)
+{
+    return std::abs(f1_hz - f2_hz) < threshold_hz;
+}
 
 } // namespace qplacer
 

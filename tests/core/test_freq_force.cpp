@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/freq_force.hpp"
 
@@ -139,7 +141,27 @@ TEST(FreqForce, SameResonatorSegmentsExcluded)
     std::vector<Vec2> pos{{1000, 1000}, {1100, 1000}};
     std::vector<Vec2> grad;
     EXPECT_DOUBLE_EQ(model.evaluate(pos, grad), 0.0);
-    EXPECT_EQ(model.collisionMap().numPairs(), 0u);
+    EXPECT_EQ(grad[0].x, 0.0);
+    EXPECT_EQ(grad[0].y, 0.0);
+    EXPECT_EQ(grad[1].x, 0.0);
+    EXPECT_EQ(grad[1].y, 0.0);
+}
+
+TEST(FreqForce, NonFinitePositionPanics)
+{
+    const Netlist nl = freqNetlist({5.0e9, 5.0e9}, {-1, -1});
+    const FreqForceModel model(nl, 0.1e9);
+    std::vector<Vec2> grad;
+    std::vector<Vec2> nan_pos{{1000, 1000}, {std::nan(""), 1000}};
+    EXPECT_THROW(model.evaluate(nan_pos, grad), std::logic_error);
+    std::vector<Vec2> inf_pos{{1000, HUGE_VAL}, {1000, 1000}};
+    EXPECT_THROW(model.evaluate(inf_pos, grad), std::logic_error);
+    try {
+        model.evaluate(nan_pos, grad);
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("instance 1"),
+                  std::string::npos);
+    }
 }
 
 } // namespace
