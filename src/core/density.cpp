@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -33,15 +32,13 @@ DensityModel::autoBinCount(int num_instances)
     return bins;
 }
 
-double
+void
 DensityModel::evaluate(const std::vector<Vec2> &positions,
                        std::vector<Vec2> &gradient)
 {
     const auto &instances = netlist_.instances();
     if (positions.size() != instances.size())
         panic("DensityModel::evaluate: position count mismatch");
-
-    gradient.assign(positions.size(), Vec2());
 
     // Rasterize charges; the density map stores charge per bin. Each
     // chunk splats into its own grid, and the grids are summed bin-wise
@@ -64,10 +61,14 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
             if (chunk != 0)
                 g.clear();
             for (std::size_t i = begin; i < end; ++i) {
+                const Vec2 p = positions[i];
+                if (!std::isfinite(p.x) || !std::isfinite(p.y))
+                    panic(str("DensityModel::evaluate: non-finite "
+                              "position of instance ",
+                              i));
                 const Instance &inst = instances[i];
-                const Rect fp =
-                    Rect::fromCenter(positions[i], inst.paddedWidth(),
-                                     inst.paddedHeight());
+                const Rect fp = Rect::fromCenter(p, inst.paddedWidth(),
+                                                 inst.paddedHeight());
                 g.splat(fp, inst.paddedArea());
             }
         },
@@ -96,8 +97,14 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
             ThreadPool::kGrainFine);
     }
 
-    // Overflow: charge above the per-bin capacity.
+    // Overflow: charge above the per-bin capacity. The same pass
+    // normalizes the map to charge density (charge / bin area) straight
+    // into the solver's input, so the field scale is
+    // resolution-independent.
     const double capacity = targetDensity_ * grid_.binArea();
+    const double inv_bin_area = 1.0 / grid_.binArea();
+    std::vector<double> &density = solver_.input();
+    density.resize(cells);
     const int chunks = parallelChunks(pool_);
     std::vector<double> over_part(static_cast<std::size_t>(chunks), 0.0);
     std::vector<double> charge_part(static_cast<std::size_t>(chunks), 0.0);
@@ -110,6 +117,7 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
                 const double q = grid_.data()[i];
                 over += std::max(0.0, q - capacity);
                 charge += q;
+                density[i] = q * inv_bin_area;
             }
             over_part[chunk] = over;
             charge_part[chunk] = charge;
@@ -123,48 +131,27 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
     }
     overflow_ = total_charge > 0.0 ? over / total_charge : 0.0;
 
-    // Normalize the map to charge density (charge / bin area) before the
-    // Poisson solve so the field scale is resolution-independent.
-    std::vector<double> density = grid_.data();
-    const double inv_bin_area = 1.0 / grid_.binArea();
+    const PoissonSolver::Solution &field = solver_.solve();
+    const double *ex = field.fieldX.data();
+    const double *ey = field.fieldY.data();
+
+    // Per-instance gradient: the field averaged over the footprint
+    // (area-weighted over overlapped bins); d(energy)/dx = -q * xi_x,
+    // so descending moves along the field.
+    gradient.resize(positions.size());
     parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                density[i] *= inv_bin_area;
-        },
-        ThreadPool::kGrainFine);
-
-    PoissonSolver::Solution sol = solver_.solve(density);
-
-    // Energy and per-instance gradient: sample psi / xi over the
-    // footprint (area-weighted average over overlapped bins).
-    BinGrid psi(grid_.region(), grid_.nx(), grid_.ny());
-    BinGrid ex(grid_.region(), grid_.nx(), grid_.ny());
-    BinGrid ey(grid_.region(), grid_.nx(), grid_.ny());
-    psi.data() = std::move(sol.potential);
-    ex.data() = std::move(sol.fieldX);
-    ey.data() = std::move(sol.fieldY);
-
-    // Instances are sampled independently; only the energy needs a
-    // chunk-ordered reduction.
-    return parallelReduce(
         pool_, instances.size(),
         [&](std::size_t begin, std::size_t end) {
-            double energy = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
                 const Instance &inst = instances[i];
                 const double q = inst.paddedArea();
                 const Rect fp =
                     Rect::fromCenter(positions[i], inst.paddedWidth(),
                                      inst.paddedHeight());
-                energy += q * psi.sample(fp);
-                // d(energy)/dx = -q * xi_x (descending moves along the
-                // field).
-                gradient[i].x = -q * ex.sample(fp);
-                gradient[i].y = -q * ey.sample(fp);
+                const Vec2 xi = grid_.sample(fp, ex, ey);
+                gradient[i].x = -q * xi.x;
+                gradient[i].y = -q * xi.y;
             }
-            return energy;
         },
         ThreadPool::kGrainMedium);
 }

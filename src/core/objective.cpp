@@ -61,15 +61,14 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
     }
 }
 
-PlacementObjective::Components
+void
 PlacementObjective::evaluate(const std::vector<Vec2> &positions,
                              std::vector<Vec2> &gradient)
 {
-    Components out;
-    out.wirelength = wirelength_.evaluate(positions, gradWl_);
-    out.density = density_.evaluate(positions, gradDen_);
+    wirelength_.evaluate(positions, gradWl_);
+    density_.evaluate(positions, gradDen_);
     if (freqForce_) {
-        out.freq = freqForce_->evaluate(positions, gradFreq_);
+        freqForce_->evaluate(positions, gradFreq_);
         // The truncated force is often dormant at the warm start (all
         // pairs isolated); initialize its penalty weight the first time
         // it produces a gradient.
@@ -86,7 +85,7 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
         gradFreq_.assign(positions.size(), Vec2());
     }
     if (cutPenalty_) {
-        out.cut = cutPenalty_->evaluate(positions, gradCut_);
+        cutPenalty_->evaluate(positions, gradCut_);
         // Same lazy initialization as the frequency force: the penalty
         // weight is meaningless until some net actually crosses a cut.
         if (!cutLambdaLive_) {
@@ -99,11 +98,6 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
             }
         }
     }
-
-    out.total =
-        out.wirelength + lambda_ * out.density + freqLambda_ * out.freq;
-    if (cutPenalty_)
-        out.total += cutLambda_ * out.cut;
 
     gradient.assign(positions.size(), Vec2());
     const auto &instances = netlist_.instances();
@@ -128,7 +122,6 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
             }
         },
         ThreadPool::kGrainFine);
-    return out;
 }
 
 void

@@ -4,7 +4,9 @@
  *   min  WL(x, y) + lambda * D(x, y) + lambda_f * F(x, y)
  * with lambda/lambda_f initialized from gradient-norm ratios and grown
  * multiplicatively each iteration, shifting the engine from pure area
- * (wirelength) optimization toward constraint satisfaction.
+ * (wirelength) optimization toward constraint satisfaction. The
+ * Nesterov step only needs the gradient, so the penalized value itself
+ * is never formed.
  */
 
 #ifndef QPLACER_CORE_OBJECTIVE_HPP
@@ -35,22 +37,13 @@ class PlacementObjective
     PlacementObjective(const Netlist &netlist, const PlacerParams &params,
                        ThreadPool *pool = nullptr);
 
-    /** Component values from the last evaluate(). */
-    struct Components
-    {
-        double wirelength = 0.0;
-        double density = 0.0;
-        double freq = 0.0;
-        double cut = 0.0; ///< Multi-die cut-crossing penalty (else 0).
-        double total = 0.0;
-    };
-
     /**
-     * Evaluate the penalized objective and its gradient (per instance,
-     * Jacobi-preconditioned by net degree + lambda * charge).
+     * Evaluate the penalized objective's gradient (per instance,
+     * Jacobi-preconditioned by net degree + lambda * charge) and update
+     * overflow().
      */
-    Components evaluate(const std::vector<Vec2> &positions,
-                        std::vector<Vec2> &gradient);
+    void evaluate(const std::vector<Vec2> &positions,
+                  std::vector<Vec2> &gradient);
 
     /**
      * Initialize lambda and lambda_f from the gradient norms at @p

@@ -36,11 +36,18 @@ PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
     colPlan_ = PlanCache::dct(static_cast<std::size_t>(ny));
 }
 
-PoissonSolver::Solution
+const PoissonSolver::Solution &
 PoissonSolver::solve(const std::vector<double> &density) const
 {
+    input_ = density;
+    return solve();
+}
+
+const PoissonSolver::Solution &
+PoissonSolver::solve() const
+{
     const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
-    if (density.size() != cells)
+    if (input_.size() != cells)
         panic("PoissonSolver::solve: density map size mismatch");
 
     // Row/column transform passes on the selected execution path (the
@@ -61,66 +68,41 @@ PoissonSolver::solve(const std::vector<double> &density) const
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.
-    std::vector<double> coeff = density;
+    std::vector<double> &coeff = input_;
     rows(coeff, Dct::Kind::Dct2);
     cols(coeff, Dct::Kind::Dct2);
-    const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                coeff[i] *= norm;
-        },
-        ThreadPool::kGrainFine);
 
-    // Divide by the Laplacian eigenvalues; drop the DC term.
-    std::vector<double> psi_coeff(cells, 0.0);
+    // One elementwise pass: normalize, divide by the Laplacian
+    // eigenvalue (dropping the DC term), and weight by w_u / w_v to
+    // form the sine-series inputs of the two field components.
+    std::vector<double> &fx = solution_.fieldX;
+    std::vector<double> &fy = solution_.fieldY;
+    fx.resize(cells);
+    fy.resize(cells);
+    const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
     parallelFor(
         pool_, cells,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const int u = static_cast<int>(i % nx_);
                 const int v = static_cast<int>(i / nx_);
-                if (u == 0 && v == 0)
-                    continue;
-                const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
-                psi_coeff[i] = coeff[i] / w2;
+                double psi_coeff = 0.0;
+                if (u != 0 || v != 0) {
+                    const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
+                    psi_coeff = coeff[i] * norm / w2;
+                }
+                fx[i] = wu_[u] * psi_coeff;
+                fy[i] = wv_[v] * psi_coeff;
             }
         },
         ThreadPool::kGrainFine);
 
-    Solution sol;
-
-    // Potential psi.
-    sol.potential = psi_coeff;
-    rows(sol.potential, Dct::Kind::CosSeries);
-    cols(sol.potential, Dct::Kind::CosSeries);
-
-    // Field xi_x: sine series in x of (w_u * psi_coeff).
-    sol.fieldX.assign(cells, 0.0);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                sol.fieldX[i] = wu_[i % nx_] * psi_coeff[i];
-        },
-        ThreadPool::kGrainFine);
-    rows(sol.fieldX, Dct::Kind::SinSeries);
-    cols(sol.fieldX, Dct::Kind::CosSeries);
-
-    // Field xi_y: sine series in y of (w_v * psi_coeff).
-    sol.fieldY.assign(cells, 0.0);
-    parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                sol.fieldY[i] = wv_[i / nx_] * psi_coeff[i];
-        },
-        ThreadPool::kGrainFine);
-    rows(sol.fieldY, Dct::Kind::CosSeries);
-    cols(sol.fieldY, Dct::Kind::SinSeries);
-
-    return sol;
+    // xi_x: sine series in x, cosine series in y; xi_y the transpose.
+    rows(fx, Dct::Kind::SinSeries);
+    cols(fx, Dct::Kind::CosSeries);
+    rows(fy, Dct::Kind::CosSeries);
+    cols(fy, Dct::Kind::SinSeries);
+    return solution_;
 }
 
 } // namespace qplacer

@@ -6,15 +6,19 @@
  * Given a charge density map rho, solves
  *     laplacian(psi) = -rho
  * by expanding rho in the cosine eigenbasis cos(w_u x) cos(w_v y),
- * dividing by (w_u^2 + w_v^2), and evaluating the potential psi and the
- * field xi = -grad(psi) via the DCT/DST kernels in math/dct.
+ * dividing by (w_u^2 + w_v^2), and evaluating the field
+ * xi = -grad(psi) via the DCT/DST kernels in math/dct. The density
+ * force only ever moves instances along xi, so the potential psi itself
+ * is never synthesized: a solve is one forward 2-D DCT plus one mixed
+ * sine/cosine series per field component (6 row/column passes).
  *
  * The solver grabs the cached DctPlans for its row/column lengths at
  * construction and runs every transform pass through them with owned,
- * reusable scratch (see math/dct_plan): after the first solve no pass
- * allocates. The plan-free PR-2 kernels remain reachable via
- * Path::Unplanned for benchmarking and equivalence testing; both paths
- * produce bitwise-identical solutions.
+ * reusable scratch (see math/dct_plan). Its input and output maps are
+ * solver-owned too, so after the first solve nothing allocates. The
+ * plan-free reference kernels remain reachable via Path::Unplanned for
+ * benchmarking and equivalence testing; both paths produce
+ * bitwise-identical solutions.
  */
 
 #ifndef QPLACER_CORE_POISSON_HPP
@@ -57,21 +61,34 @@ class PoissonSolver
     /** Result maps, row-major (index = iy*nx + ix). */
     struct Solution
     {
-        std::vector<double> potential; ///< psi.
-        std::vector<double> fieldX;    ///< xi_x = -d(psi)/dx.
-        std::vector<double> fieldY;    ///< xi_y = -d(psi)/dy.
+        std::vector<double> fieldX; ///< xi_x = -d(psi)/dx.
+        std::vector<double> fieldY; ///< xi_y = -d(psi)/dy.
     };
 
     /**
-     * Solve for the given density map (row-major, size nx*ny). The mean
-     * (DC) component is dropped, as standard: only deviations from the
-     * average density generate forces.
+     * Solve for the given density map (row-major, size nx*ny): copies
+     * it into input() and runs solve(). The mean (DC) component is
+     * dropped, as standard: only deviations from the average density
+     * generate forces.
      *
-     * Reuses the solver's internal transform scratch: concurrent
-     * solve() calls on the same instance must be externally
-     * synchronized (distinct instances are independent).
+     * The returned maps are solver-owned and stay valid until the next
+     * solve. Concurrent solve() calls on the same instance must be
+     * externally synchronized (distinct instances are independent).
      */
-    Solution solve(const std::vector<double> &density) const;
+    const Solution &solve(const std::vector<double> &density) const;
+
+    /**
+     * Solve for the density map already written into input(); the
+     * transform consumes input() in place.
+     */
+    const Solution &solve() const;
+
+    /**
+     * The density map the argument-free solve() reads (row-major, size
+     * nx*ny). Callers that build the density anyway write it here and
+     * skip the copy.
+     */
+    std::vector<double> &input() { return input_; }
 
     int nx() const { return nx_; }
     int ny() const { return ny_; }
@@ -91,6 +108,9 @@ class PoissonSolver
     std::shared_ptr<const DctPlan> rowPlan_; ///< Plan for length nx.
     std::shared_ptr<const DctPlan> colPlan_; ///< Plan for length ny.
     mutable DctScratch scratch_; ///< Per-chunk transform workspaces.
+    /** Density in, eigenbasis coefficients after the forward pass. */
+    mutable std::vector<double> input_;
+    mutable Solution solution_; ///< Field maps of the last solve.
 };
 
 } // namespace qplacer

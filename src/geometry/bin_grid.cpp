@@ -110,26 +110,30 @@ BinGrid::splat(const Rect &rect, double amount)
     }
 }
 
-double
-BinGrid::sample(const Rect &rect) const
+Vec2
+BinGrid::sample(const Rect &rect, const double *mapX,
+                const double *mapY) const
 {
     const Rect r = clampRect(rect);
     if (r.empty())
-        return 0.0;
+        return Vec2();
     const int ix0 = clampX(r.lo.x);
     const int ix1 = clampX(r.hi.x - 1e-12);
     const int iy0 = clampY(r.lo.y);
     const int iy1 = clampY(r.hi.y - 1e-12);
-    double acc = 0.0;
+    double acc_x = 0.0;
+    double acc_y = 0.0;
     double wsum = 0.0;
     for (int iy = iy0; iy <= iy1; ++iy) {
         for (int ix = ix0; ix <= ix1; ++ix) {
             const double w = binRect(ix, iy).overlapArea(r);
-            acc += w * data_[static_cast<std::size_t>(iy) * nx_ + ix];
+            const std::size_t k = static_cast<std::size_t>(iy) * nx_ + ix;
+            acc_x += w * mapX[k];
+            acc_y += w * mapY[k];
             wsum += w;
         }
     }
-    return wsum > 0.0 ? acc / wsum : 0.0;
+    return wsum > 0.0 ? Vec2(acc_x / wsum, acc_y / wsum) : Vec2();
 }
 
 double

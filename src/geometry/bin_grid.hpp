@@ -67,10 +67,14 @@ class BinGrid
     void splat(const Rect &rect, double amount);
 
     /**
-     * Area-weighted average of the grid over @p rect (e.g. average
-     * electric field over an instance footprint).
+     * Area-weighted averages over @p rect of two maps laid out like
+     * this grid (row-major, nx*ny values each), e.g. both components of
+     * the electric field over an instance footprint. One walk over the
+     * overlapped bins computes each bin weight once; the x average goes
+     * to the result's x, the y average to its y.
      */
-    double sample(const Rect &rect) const;
+    Vec2 sample(const Rect &rect, const double *mapX,
+                const double *mapY) const;
 
     /** Sum over all bins. */
     double total() const;

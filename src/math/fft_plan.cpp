@@ -60,17 +60,34 @@ FftPlan::execute(Complex *data, bool invert) const
     for (std::size_t s = 0; s < swapLo_.size(); ++s)
         std::swap(data[swapLo_[s]], data[swapHi_[s]]);
 
-    const Complex *table =
-        invert ? invTwiddle_.data() : fwdTwiddle_.data();
+    // Butterflies on the interleaved (re, im) doubles, which
+    // [complex.numbers] guarantees std::complex<double> to be. The
+    // products are the ones std::complex's operator* computes for
+    // finite values, minus its NaN-recovery branch (__muldc3), so the
+    // result is bitwise unchanged on finite data.
+    double *d = reinterpret_cast<double *>(data);
+    const double *table = reinterpret_cast<const double *>(
+        invert ? invTwiddle_.data() : fwdTwiddle_.data());
     std::size_t offset = 0;
     for (std::size_t len = 2; len <= n_; len <<= 1) {
         const std::size_t half = len / 2;
         for (std::size_t i = 0; i < n_; i += len) {
+            double *lo = d + 2 * i;
+            double *hi = lo + 2 * half;
+            const double *w = table + 2 * offset;
             for (std::size_t k = 0; k < half; ++k) {
-                const Complex u = data[i + k];
-                const Complex v = data[i + k + half] * table[offset + k];
-                data[i + k] = u + v;
-                data[i + k + half] = u - v;
+                const double ur = lo[2 * k];
+                const double ui = lo[2 * k + 1];
+                const double qr = hi[2 * k];
+                const double qi = hi[2 * k + 1];
+                const double wr = w[2 * k];
+                const double wi = w[2 * k + 1];
+                const double vr = qr * wr - qi * wi;
+                const double vi = qr * wi + qi * wr;
+                lo[2 * k] = ur + vr;
+                lo[2 * k + 1] = ui + vi;
+                hi[2 * k] = ur - vr;
+                hi[2 * k + 1] = ui - vi;
             }
         }
         offset += half;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/density.hpp"
 #include "util/rng.hpp"
 
@@ -58,19 +61,6 @@ TEST(Density, GradientPushesApartStackedInstances)
     EXPECT_LT(grad[1].x, 0.0);
 }
 
-TEST(Density, EnergyDropsWhenSpreading)
-{
-    Netlist nl = blockNetlist(4, 400, 4000);
-    DensityModel model(nl, 32, 0.9);
-    std::vector<Vec2> grad;
-    const std::vector<Vec2> stacked(4, Vec2(2000, 2000));
-    const double e_stacked = model.evaluate(stacked, grad);
-    const std::vector<Vec2> spread{
-        {800, 800}, {3200, 800}, {800, 3200}, {3200, 3200}};
-    const double e_spread = model.evaluate(spread, grad);
-    EXPECT_LT(e_spread, e_stacked);
-}
-
 TEST(Density, AutoBinCountIsPowerOfTwoInRange)
 {
     EXPECT_EQ(DensityModel::autoBinCount(10), 32);
@@ -88,6 +78,27 @@ TEST(Density, ChargeEqualsPaddedArea)
     std::vector<Vec2> pos{{1000, 1000}};
     model.evaluate(pos, grad);
     EXPECT_NEAR(model.grid().total(), 800.0 * 800.0, 1.0);
+}
+
+TEST(Density, NonFinitePositionPanics)
+{
+    Netlist nl = blockNetlist(3, 400, 4000);
+    DensityModel model(nl, 32, 0.9);
+    std::vector<Vec2> grad;
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        std::vector<Vec2> pos_x{{1000, 1000}, {2000, 2000}, {bad, 3000}};
+        EXPECT_THROW(model.evaluate(pos_x, grad), std::logic_error);
+        std::vector<Vec2> pos_y{{1000, 1000}, {2000, bad}, {3000, 3000}};
+        try {
+            model.evaluate(pos_y, grad);
+            ADD_FAILURE() << "no panic for " << bad;
+        } catch (const std::logic_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "non-finite position of instance 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Density, InvalidTargetIsFatal)

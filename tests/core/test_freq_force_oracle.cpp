@@ -240,8 +240,10 @@ placedDevice(const std::string &spec, int iters, PlacerParams &placer)
     return nl;
 }
 
+// std::string, not const char *: GoogleTest prints a pointer inside a
+// tuple by its address, which would put the address in the test names.
 class OracleDevices
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(OracleDevices, BitwiseEqualAtEveryThreadCount)
@@ -270,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("Falcon", "grid8x8", "grid16x16"),
                        ::testing::Values(0, 20, 60)),
     [](const auto &info) {
-        return std::string(std::get<0>(info.param)) + "_iter" +
+        return std::get<0>(info.param) + "_iter" +
                std::to_string(std::get<1>(info.param));
     });
 

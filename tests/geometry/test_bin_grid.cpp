@@ -57,13 +57,21 @@ TEST(BinGrid, ClampIndices)
 
 TEST(BinGrid, SampleAveragesOverFootprint)
 {
-    BinGrid g(Rect(0, 0, 20, 10), 2, 1);
-    g.at(0, 0) = 2.0;
-    g.at(1, 0) = 6.0;
+    const BinGrid g(Rect(0, 0, 20, 10), 2, 1);
+    const double map_x[] = {2.0, 6.0};
+    const double map_y[] = {-1.0, 3.0};
     // Rect centered on the boundary: equal-weight average.
-    EXPECT_NEAR(g.sample(Rect(5, 0, 15, 10)), 4.0, 1e-9);
+    const Vec2 mid = g.sample(Rect(5, 0, 15, 10), map_x, map_y);
+    EXPECT_NEAR(mid.x, 4.0, 1e-9);
+    EXPECT_NEAR(mid.y, 1.0, 1e-9);
     // Rect inside one bin: that bin's value.
-    EXPECT_NEAR(g.sample(Rect(1, 1, 5, 5)), 2.0, 1e-9);
+    const Vec2 left = g.sample(Rect(1, 1, 5, 5), map_x, map_y);
+    EXPECT_NEAR(left.x, 2.0, 1e-9);
+    EXPECT_NEAR(left.y, -1.0, 1e-9);
+    // Three-quarters in the right bin: a 1:3 weighting.
+    const Vec2 right = g.sample(Rect(8, 0, 16, 10), map_x, map_y);
+    EXPECT_NEAR(right.x, 5.0, 1e-9);
+    EXPECT_NEAR(right.y, 2.0, 1e-9);
 }
 
 TEST(BinGrid, ClearResets)
