@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "geometry/spatial_hash.hpp"
 #include "math/min_cost_flow.hpp"
@@ -11,10 +13,18 @@ namespace qplacer {
 
 namespace {
 
-/** Exact dense assignment: every item connects to every site. */
+/**
+ * Min-cost assignment of items to sites over the arcs in
+ * @p candidates (item i may take site s iff s is in candidates[i]).
+ * Arcs are added, and the assignment read back, in candidate order.
+ *
+ * @return site index per item, or an empty vector if the candidate
+ *         arcs admit no perfect matching.
+ */
 std::vector<int>
-refineDense(const std::vector<Vec2> &desired,
-            const std::vector<Vec2> &sites)
+solveAssignment(const std::vector<Vec2> &desired,
+                const std::vector<Vec2> &sites,
+                const std::vector<std::vector<std::int32_t>> &candidates)
 {
     const int n = static_cast<int>(desired.size());
 
@@ -23,34 +33,38 @@ refineDense(const std::vector<Vec2> &desired,
     const int sink = 2 * n + 1;
     MinCostFlow flow(2 * n + 2);
 
-    std::vector<std::vector<int>> edge_id(
-        n, std::vector<int>(n, -1));
+    std::vector<std::size_t> site_degree(n, 1);
+    for (const auto &cand : candidates)
+        for (const std::int32_t s : cand)
+            ++site_degree[s];
     for (int i = 0; i < n; ++i) {
-        flow.reserveNode(1 + i, static_cast<std::size_t>(n) + 1);
-        flow.reserveNode(1 + n + i, static_cast<std::size_t>(n) + 1);
+        flow.reserveNode(1 + i, candidates[i].size() + 1);
+        flow.reserveNode(1 + n + i, site_degree[i]);
     }
+
     for (int i = 0; i < n; ++i)
         flow.addEdge(source, 1 + i, 1, 0);
+    std::vector<std::vector<int>> edge_id(n);
     for (int i = 0; i < n; ++i) {
-        for (int s = 0; s < n; ++s) {
+        edge_id[i].reserve(candidates[i].size());
+        for (const std::int32_t s : candidates[i]) {
             const double cost_um = desired[i].manhattan(sites[s]);
-            edge_id[i][s] = flow.addEdge(
+            edge_id[i].push_back(flow.addEdge(
                 1 + i, 1 + n + s, 1,
-                static_cast<std::int64_t>(std::llround(cost_um)));
+                static_cast<std::int64_t>(std::llround(cost_um))));
         }
     }
     for (int s = 0; s < n; ++s)
         flow.addEdge(1 + n + s, sink, 1, 0);
 
-    const MinCostFlow::Result result = flow.solve(source, sink);
-    if (result.flow != n)
-        panic("refineAssignment: flow did not saturate");
+    if (flow.solve(source, sink).flow != n)
+        return {};
 
     std::vector<int> assignment(n, -1);
     for (int i = 0; i < n; ++i) {
-        for (int s = 0; s < n; ++s) {
-            if (flow.flowOn(edge_id[i][s]) > 0) {
-                assignment[i] = s;
+        for (std::size_t c = 0; c < candidates[i].size(); ++c) {
+            if (flow.flowOn(edge_id[i][c]) > 0) {
+                assignment[i] = candidates[i][c];
                 break;
             }
         }
@@ -60,13 +74,22 @@ refineDense(const std::vector<Vec2> &desired,
     return assignment;
 }
 
+/** Dense candidates: every item may take every site, in index order. */
+std::vector<std::vector<std::int32_t>>
+everySite(int n)
+{
+    std::vector<std::int32_t> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    return std::vector<std::vector<std::int32_t>>(n, all);
+}
+
 /**
- * Sparse assignment: item i connects to its own site plus its k
- * nearest sites. The own-site arc keeps the identity assignment
- * feasible, so the flow always saturates.
+ * Sparse candidates: item i may take its k nearest sites plus its own
+ * site. The own-site arc keeps the identity assignment feasible, so
+ * the flow always saturates.
  */
-std::vector<int>
-refineSparse(const std::vector<Vec2> &desired,
+std::vector<std::vector<std::int32_t>>
+nearestSites(const std::vector<Vec2> &desired,
              const std::vector<Vec2> &sites, int neighbors)
 {
     const int n = static_cast<int>(desired.size());
@@ -87,54 +110,14 @@ refineSparse(const std::vector<Vec2> &desired,
     for (int s = 0; s < n; ++s)
         hash.insert(s, sites[s]);
 
-    const int source = 0;
-    const int sink = 2 * n + 1;
-    MinCostFlow flow(2 * n + 2);
-
-    for (int i = 0; i < n; ++i)
-        flow.addEdge(source, 1 + i, 1, 0);
-
-    std::vector<std::vector<std::pair<int, int>>> arcs(n); // (site, edge)
-    std::vector<std::int32_t> cand;
+    std::vector<std::vector<std::int32_t>> candidates(n);
     for (int i = 0; i < n; ++i) {
-        cand = hash.kNearest(desired[i], neighbors);
-        // Own site first: the feasibility anchor (and, for an already
-        // well-placed qubit, usually the cheapest arc anyway).
-        if (std::find(cand.begin(), cand.end(), i) == cand.end())
-            cand.push_back(i);
-        arcs[i].reserve(cand.size());
-        for (const std::int32_t s : cand) {
-            const double cost_um = desired[i].manhattan(sites[s]);
-            const int edge = flow.addEdge(
-                1 + i, 1 + n + s, 1,
-                static_cast<std::int64_t>(std::llround(cost_um)));
-            arcs[i].emplace_back(s, edge);
-        }
+        candidates[i] = hash.kNearest(desired[i], neighbors);
+        if (std::find(candidates[i].begin(), candidates[i].end(), i) ==
+            candidates[i].end())
+            candidates[i].push_back(i);
     }
-    for (int s = 0; s < n; ++s)
-        flow.addEdge(1 + n + s, sink, 1, 0);
-
-    const MinCostFlow::Result result = flow.solve(source, sink);
-    if (result.flow != n) {
-        // Cannot happen (identity is feasible); exact fallback anyway
-        // so a refinement bug degrades to slow, never to wrong.
-        warn("refineAssignment: sparse flow did not saturate; "
-             "falling back to the dense exact path");
-        return refineDense(desired, sites);
-    }
-
-    std::vector<int> assignment(n, -1);
-    for (int i = 0; i < n; ++i) {
-        for (const auto &[s, edge] : arcs[i]) {
-            if (flow.flowOn(edge) > 0) {
-                assignment[i] = s;
-                break;
-            }
-        }
-        if (assignment[i] < 0)
-            panic("refineAssignment: unassigned item");
-    }
-    return assignment;
+    return candidates;
 }
 
 } // namespace
@@ -143,12 +126,9 @@ std::vector<int>
 refineAssignment(const std::vector<Vec2> &desired,
                  const std::vector<Vec2> &sites)
 {
-    const int n = static_cast<int>(desired.size());
-    if (static_cast<int>(sites.size()) != n)
-        panic("refineAssignment: item/site count mismatch");
-    if (n == 0)
-        return {};
-    return refineDense(desired, sites);
+    FlowRefineOptions exact;
+    exact.sparseThreshold = std::numeric_limits<int>::max();
+    return refineAssignment(desired, sites, exact);
 }
 
 std::vector<int>
@@ -164,9 +144,22 @@ refineAssignment(const std::vector<Vec2> &desired,
     if (options.neighbors < 1)
         panic("refineAssignment: neighbors must be at least 1");
 
-    if (n <= options.sparseThreshold || options.neighbors >= n)
-        return refineDense(desired, sites);
-    return refineSparse(desired, sites, options.neighbors);
+    const bool sparse =
+        n > options.sparseThreshold && options.neighbors < n;
+    std::vector<int> assignment = solveAssignment(
+        desired, sites,
+        sparse ? nearestSites(desired, sites, options.neighbors)
+               : everySite(n));
+    if (assignment.empty() && sparse) {
+        // Cannot happen (identity is feasible); exact fallback anyway
+        // so a refinement bug degrades to slow, never to wrong.
+        warn("refineAssignment: sparse flow did not saturate; "
+             "falling back to the dense exact path");
+        assignment = solveAssignment(desired, sites, everySite(n));
+    }
+    if (assignment.empty())
+        panic("refineAssignment: flow did not saturate");
+    return assignment;
 }
 
 } // namespace qplacer

@@ -6,14 +6,15 @@
  * placement positions is minimized. Qubits share one footprint, so any
  * permutation of sites stays legal.
  *
- * Scale: the exact formulation is dense (every qubit x every site,
- * n^2 arcs), which dominates legalization wall-time past a few hundred
- * qubits. Above FlowRefineOptions::sparseThreshold the candidate arcs
- * are restricted to each qubit's own spiral site plus its k nearest
- * pooled sites (SpatialHash::kNearest); the own-site arc guarantees a
- * perfect matching always exists, so the sparse solve never fails --
- * it is simply allowed to return a (near-optimal) assignment instead
- * of the exact optimum.
+ * One solver builds, solves and reads back the flow network from a
+ * per-qubit candidate-site list; only the list differs by scale. The
+ * exact formulation is dense (every site, in index order: n^2 arcs),
+ * which dominates legalization wall-time past a few hundred qubits.
+ * Above FlowRefineOptions::sparseThreshold each qubit's candidates are
+ * its k nearest pooled sites (SpatialHash::kNearest) plus its own
+ * spiral site; the own-site arc guarantees a perfect matching always
+ * exists, so the sparse solve never fails -- it is simply allowed to
+ * return a (near-optimal) assignment instead of the exact optimum.
  */
 
 #ifndef QPLACER_LEGAL_FLOW_REFINE_HPP
@@ -41,7 +42,7 @@ struct FlowRefineOptions
 /**
  * Optimal assignment of @p desired positions to @p sites (equal sizes)
  * minimizing total Manhattan displacement -- the exact dense
- * formulation.
+ * formulation, kept as the test oracle of the sparse path.
  *
  * @return site index per item.
  */
@@ -49,10 +50,10 @@ std::vector<int> refineAssignment(const std::vector<Vec2> &desired,
                                   const std::vector<Vec2> &sites);
 
 /**
- * Like the two-argument overload, but switches to sparse k-nearest
- * candidate arcs above @p options.sparseThreshold (exact dense below).
- * Item i's own site (index i) is always a candidate, so the flow
- * saturates for any input.
+ * Like the two-argument overload, but switches to sparse candidate
+ * arcs (k nearest sites plus item i's own site i) above
+ * @p options.sparseThreshold (exact dense below). The own-site arc
+ * makes the flow saturate for any input.
  */
 std::vector<int> refineAssignment(const std::vector<Vec2> &desired,
                                   const std::vector<Vec2> &sites,

@@ -1,7 +1,6 @@
 #include "legal/integration.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "freq/spectrum.hpp"
 #include "legal/spiral.hpp"
@@ -95,16 +94,9 @@ IntegrationLegalizer::resonanceOk(const Netlist &netlist,
 
 IntegrationLegalizer::Result
 IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
-                          const std::vector<int> *only) const
+                          const std::vector<int> &targets) const
 {
     Result result;
-    std::vector<int> targets;
-    if (only) {
-        targets = *only;
-    } else {
-        targets.resize(netlist.resonators().size());
-        std::iota(targets.begin(), targets.end(), 0);
-    }
 
     for (int r : targets) {
         if (!integrationLegal(netlist, r))

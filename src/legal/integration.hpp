@@ -72,14 +72,13 @@ class IntegrationLegalizer
     };
 
     /**
-     * Repair segment clustering in place. @p grid must reflect the
-     * current positions (qubits + segments occupied). When @p only is
-     * non-null, just those resonator ids are checked and repaired
-     * (scoped re-legalization); swaps may still relocate same-size
+     * Repair the segment clustering of the resonator ids in
+     * @p targets in place. @p grid must reflect the current positions
+     * (qubits + segments occupied). Swaps may still relocate same-size
      * foreign segments they trade places with.
      */
     Result run(Netlist &netlist, OccupancyGrid &grid,
-               const std::vector<int> *only = nullptr) const;
+               const std::vector<int> &targets) const;
 
     /**
      * rilc (Section IV-C2): every segment of the resonator must be in

@@ -1,7 +1,9 @@
 #include "legal/legalizer.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <optional>
 
 #include "geometry/spatial_hash.hpp"
 #include "legal/flow_refine.hpp"
@@ -18,175 +20,40 @@ Legalizer::Legalizer(LegalizerParams params)
 }
 
 bool
-Legalizer::attempt(Netlist &netlist, LegalizeResult &result,
-                   const CancelToken *cancel) const
+Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
+                   LegalizeResult &result, const CancelToken *cancel) const
 {
     result = LegalizeResult{};
-    OccupancyGrid grid(netlist.region(), params_.cellUm);
-    grid.setProbeEngine(params_.probeEngine);
+    auto cancelled = [&] {
+        result.cancelled = cancel && cancel->cancelled();
+        return result.cancelled;
+    };
 
     // Multi-die: resolve the partition against the *current* region
     // (it may have grown between attempts) and reserve the cut gaps
     // before anything is placed -- no footprint can straddle a cut.
     DiePlan plan;
     const bool multi = netlist.dieSpec().active();
-    if (multi) {
-        plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
-        for (const Rect &band : plan.gapBands())
-            grid.block(band);
-    }
-
-    // --- Stage 1: qubits (greedy spiral, central-first order). ---
-    Timer stage_timer;
-    const Vec2 center = netlist.region().center();
-    std::vector<int> qubit_order(netlist.numQubits());
-    std::iota(qubit_order.begin(), qubit_order.end(), 0);
-    // Center distances precomputed once: the comparator used to call
-    // Vec2::dist twice per invocation, ~2 N log N sqrt's per sort.
-    std::vector<double> center_dist(netlist.numQubits());
-    for (int q = 0; q < netlist.numQubits(); ++q)
-        center_dist[q] = netlist.instance(q).pos.dist(center);
-    std::sort(qubit_order.begin(), qubit_order.end(), [&](int a, int b) {
-        if (center_dist[a] != center_dist[b])
-            return center_dist[a] < center_dist[b];
-        return a < b;
-    });
-
-    std::vector<Vec2> desired(netlist.numQubits());
-    for (int q = 0; q < netlist.numQubits(); ++q)
-        desired[q] = netlist.instance(q).pos;
-
-    // The qubit's die is decided by its global-placement position; the
-    // spiral then never legalizes it across a cut.
-    std::vector<int> die_of;
-    if (multi) {
-        die_of.resize(netlist.numQubits());
-        for (int q = 0; q < netlist.numQubits(); ++q)
-            die_of[q] = plan.dieAt(desired[q]);
-    }
-
-    for (int q : qubit_order) {
-        Instance &inst = netlist.instance(q);
-        const double w = inst.paddedWidth();
-        const double h = inst.paddedHeight();
-        std::optional<Vec2> spot;
-        if (multi) {
-            const Rect die = plan.dies[die_of[q]].inflated(1e-6);
-            spot = spiralSearchFiltered(
-                grid, inst.pos, w, h, [&](Vec2 c) {
-                    return die.containsRect(Rect::fromCenter(c, w, h));
-                });
-        } else {
-            spot = spiralSearch(grid, inst.pos, w, h);
-        }
-        if (!spot)
-            return false;
-        inst.pos = *spot;
-        grid.occupy(Rect::fromCenter(*spot, w, h), q);
-    }
-    result.spiralSeconds = stage_timer.seconds();
-
-    // --- Stage 1b: min-cost-flow refinement over the pooled sites. ---
-    // Multi-die pools per die: sites and demands of the same die only,
-    // so the assignment cannot migrate a qubit across a cut.
-    stage_timer.reset();
-    if (params_.flowRefine && netlist.numQubits() > 1) {
-        FlowRefineOptions options;
-        options.sparseThreshold = params_.flowSparseThreshold;
-        options.neighbors = params_.flowSparseNeighbors;
-        if (!multi) {
-            std::vector<Vec2> sites(netlist.numQubits());
-            for (int q = 0; q < netlist.numQubits(); ++q)
-                sites[q] = netlist.instance(q).pos;
-            const std::vector<int> assign =
-                refineAssignment(desired, sites, options);
-            for (int q = 0; q < netlist.numQubits(); ++q)
-                netlist.instance(q).pos = sites[assign[q]];
-        } else {
-            for (int d = 0; d < plan.spec.numDies(); ++d) {
-                std::vector<int> group;
-                for (int q = 0; q < netlist.numQubits(); ++q)
-                    if (die_of[q] == d)
-                        group.push_back(q);
-                if (group.size() < 2)
-                    continue;
-                std::vector<Vec2> want, sites;
-                want.reserve(group.size());
-                sites.reserve(group.size());
-                for (int q : group) {
-                    want.push_back(desired[q]);
-                    sites.push_back(netlist.instance(q).pos);
-                }
-                const std::vector<int> assign =
-                    refineAssignment(want, sites, options);
-                for (std::size_t i = 0; i < group.size(); ++i)
-                    netlist.instance(group[i]).pos = sites[assign[i]];
-            }
-        }
-    }
-    for (int q = 0; q < netlist.numQubits(); ++q) {
-        result.qubitDisplacementUm +=
-            desired[q].dist(netlist.instance(q).pos);
-    }
-    result.flowRefineSeconds = stage_timer.seconds();
-
-    // --- Stage 2: segments (Tetris). ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
-        return true;
-    }
-    stage_timer.reset();
-    if (!tetrisLegalizeSegments(netlist, grid,
-                                params_.integrationParams,
-                                result.segmentDisplacementUm)) {
-        return false;
-    }
-    result.tetrisSeconds = stage_timer.seconds();
-
-    // --- Stage 3: integration-aware repair. ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
-        return true;
-    }
-    stage_timer.reset();
-    if (params_.integration) {
-        IntegrationLegalizer integrator(params_.integrationParams);
-        result.integration = integrator.run(netlist, grid);
-    }
-    result.integrationSeconds = stage_timer.seconds();
-    return true;
-}
-
-bool
-Legalizer::attemptScoped(Netlist &netlist,
-                         const std::vector<char> &is_movable_in,
-                         LegalizeResult &result,
-                         const CancelToken *cancel) const
-{
-    result = LegalizeResult{};
-    std::vector<char> is_movable = is_movable_in;
-
-    // Fixed instances enter the grid as obstacles at their current --
-    // already legal -- positions. A conflicting fixed footprint is
-    // possible when the delta resized instances under a stale prior;
-    // demote it to movable (whole resonator for segments, so chains
-    // stay whole) and rebuild the occupancy. Conflicts are rare, so
-    // the restart loop almost never iterates.
-    // Multi-die: cut gaps are reserved before the fixed obstacles go
-    // in. A stale-prior fixed instance overlapping a gap simply fails
-    // canPlace below and is demoted to movable like any conflict.
-    DiePlan plan;
-    const bool multi = netlist.dieSpec().active();
     if (multi)
         plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
-
-    OccupancyGrid grid(netlist.region(), params_.cellUm);
-    for (int restart = 0;; ++restart) {
-        grid = OccupancyGrid(netlist.region(), params_.cellUm);
+    auto fresh_grid = [&] {
+        OccupancyGrid grid(netlist.region(), params_.cellUm);
         grid.setProbeEngine(params_.probeEngine);
         if (multi)
             for (const Rect &band : plan.gapBands())
                 grid.block(band);
+        return grid;
+    };
+
+    // Fixed instances enter the grid as obstacles at their current --
+    // already legal -- positions. A conflicting fixed footprint is
+    // possible when the delta resized instances under a stale prior
+    // (or a stale fixed instance overlaps a cut gap); demote it to
+    // movable (whole resonator for segments, so chains stay whole) and
+    // rebuild the occupancy. Conflicts are rare, so the restart loop
+    // almost never iterates.
+    OccupancyGrid grid = fresh_grid();
+    for (int restart = 0;; ++restart) {
         int conflict = -1;
         for (int i = 0; i < netlist.numInstances(); ++i) {
             if (is_movable[i])
@@ -212,6 +79,7 @@ Legalizer::attemptScoped(Netlist &netlist,
         } else {
             is_movable[conflict] = 1;
         }
+        grid = fresh_grid();
     }
 
     // --- Stage 1: movable qubits (greedy spiral, central-first). ---
@@ -222,6 +90,7 @@ Legalizer::attemptScoped(Netlist &netlist,
         if (is_movable[q])
             movable_qubits.push_back(q);
 
+    // Center distances precomputed once, not twice per comparison.
     std::vector<double> center_dist(netlist.numQubits(), 0.0);
     for (int q : movable_qubits)
         center_dist[q] = netlist.instance(q).pos.dist(center);
@@ -237,28 +106,27 @@ Legalizer::attemptScoped(Netlist &netlist,
     for (int q : movable_qubits)
         desired.push_back(netlist.instance(q).pos);
 
-    // Die assignment of each movable qubit, from its warm position.
-    std::vector<int> die_of;
-    if (multi) {
-        die_of.assign(netlist.numQubits(), 0);
+    // The qubit's die is decided by its warm position; the spiral then
+    // never legalizes it across a cut. Single-die: everything is die 0.
+    const int num_dies = multi ? plan.spec.numDies() : 1;
+    std::vector<int> die_of(netlist.numQubits(), 0);
+    if (multi)
         for (int q : movable_qubits)
             die_of[q] = plan.dieAt(netlist.instance(q).pos);
-    }
 
     for (int q : qubit_order) {
         Instance &inst = netlist.instance(q);
         const double w = inst.paddedWidth();
         const double h = inst.paddedHeight();
-        std::optional<Vec2> spot;
+        std::function<bool(Vec2)> in_die; // single-die: any free slot
         if (multi) {
             const Rect die = plan.dies[die_of[q]].inflated(1e-6);
-            spot = spiralSearchFiltered(
-                grid, inst.pos, w, h, [&](Vec2 c) {
-                    return die.containsRect(Rect::fromCenter(c, w, h));
-                });
-        } else {
-            spot = spiralSearch(grid, inst.pos, w, h);
+            in_die = [die, w, h](Vec2 c) {
+                return die.containsRect(Rect::fromCenter(c, w, h));
+            };
         }
+        const std::optional<Vec2> spot =
+            spiralSearchFiltered(grid, inst.pos, w, h, in_die);
         if (!spot)
             return false;
         inst.pos = *spot;
@@ -266,44 +134,33 @@ Legalizer::attemptScoped(Netlist &netlist,
     }
     result.spiralSeconds = stage_timer.seconds();
 
-    // --- Stage 1b: flow refinement over the movable sites only. ---
+    // --- Stage 1b: min-cost-flow refinement over the movable sites. ---
+    // Sites and demands are pooled per die, so the assignment cannot
+    // migrate a qubit across a cut.
     stage_timer.reset();
-    if (params_.flowRefine && movable_qubits.size() > 1) {
+    if (params_.flowRefine) {
         FlowRefineOptions options;
         options.sparseThreshold = params_.flowSparseThreshold;
         options.neighbors = params_.flowSparseNeighbors;
-        if (!multi) {
-            std::vector<Vec2> sites;
-            sites.reserve(movable_qubits.size());
-            for (int q : movable_qubits)
-                sites.push_back(netlist.instance(q).pos);
-            const std::vector<int> assign =
-                refineAssignment(desired, sites, options);
+        for (int d = 0; d < num_dies; ++d) {
+            std::vector<std::size_t> group;
             for (std::size_t i = 0; i < movable_qubits.size(); ++i)
-                netlist.instance(movable_qubits[i]).pos =
-                    sites[assign[i]];
-        } else {
-            for (int d = 0; d < plan.spec.numDies(); ++d) {
-                std::vector<std::size_t> group;
-                for (std::size_t i = 0; i < movable_qubits.size(); ++i)
-                    if (die_of[movable_qubits[i]] == d)
-                        group.push_back(i);
-                if (group.size() < 2)
-                    continue;
-                std::vector<Vec2> want, sites;
-                want.reserve(group.size());
-                sites.reserve(group.size());
-                for (std::size_t i : group) {
-                    want.push_back(desired[i]);
-                    sites.push_back(
-                        netlist.instance(movable_qubits[i]).pos);
-                }
-                const std::vector<int> assign =
-                    refineAssignment(want, sites, options);
-                for (std::size_t i = 0; i < group.size(); ++i)
-                    netlist.instance(movable_qubits[group[i]]).pos =
-                        sites[assign[i]];
+                if (die_of[movable_qubits[i]] == d)
+                    group.push_back(i);
+            if (group.size() < 2)
+                continue;
+            std::vector<Vec2> want, sites;
+            want.reserve(group.size());
+            sites.reserve(group.size());
+            for (std::size_t i : group) {
+                want.push_back(desired[i]);
+                sites.push_back(netlist.instance(movable_qubits[i]).pos);
             }
+            const std::vector<int> assign =
+                refineAssignment(want, sites, options);
+            for (std::size_t i = 0; i < group.size(); ++i)
+                netlist.instance(movable_qubits[group[i]]).pos =
+                    sites[assign[i]];
         }
     }
     for (std::size_t i = 0; i < movable_qubits.size(); ++i) {
@@ -312,11 +169,9 @@ Legalizer::attemptScoped(Netlist &netlist,
     }
     result.flowRefineSeconds = stage_timer.seconds();
 
-    // --- Stage 2: movable segments (scoped Tetris). ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
+    // --- Stage 2: movable segments (Tetris). ---
+    if (cancelled())
         return true;
-    }
     stage_timer.reset();
     std::vector<int> movable_res;
     for (const Resonator &res : netlist.resonators())
@@ -324,23 +179,29 @@ Legalizer::attemptScoped(Netlist &netlist,
             movable_res.push_back(res.id);
     if (!tetrisLegalizeSegments(netlist, grid, params_.integrationParams,
                                 result.segmentDisplacementUm,
-                                &movable_res)) {
+                                movable_res)) {
         return false;
     }
     result.tetrisSeconds = stage_timer.seconds();
 
     // --- Stage 3: integration repair, scoped to the moved chains. ---
-    if (cancel && cancel->cancelled()) {
-        result.cancelled = true;
+    if (cancelled())
         return true;
-    }
     stage_timer.reset();
     if (params_.integration && !movable_res.empty()) {
         IntegrationLegalizer integrator(params_.integrationParams);
-        result.integration = integrator.run(netlist, grid, &movable_res);
+        result.integration = integrator.run(netlist, grid, movable_res);
     }
     result.integrationSeconds = stage_timer.seconds();
     return true;
+}
+
+LegalizeResult
+Legalizer::legalize(Netlist &netlist, const CancelToken *cancel) const
+{
+    std::vector<int> every_instance(netlist.numInstances());
+    std::iota(every_instance.begin(), every_instance.end(), 0);
+    return legalizeScoped(netlist, every_instance, cancel);
 }
 
 LegalizeResult
@@ -353,59 +214,14 @@ Legalizer::legalizeScoped(Netlist &netlist, const std::vector<int> &movable,
     for (int id : movable)
         if (id >= 0 && id < netlist.numInstances())
             is_movable[id] = 1;
-    for (const Resonator &res : netlist.resonators()) {
-        bool any = false;
-        for (int seg : res.segments)
-            any = any || (is_movable[seg] != 0);
-        if (any)
+    for (const Resonator &res : netlist.resonators())
+        if (std::any_of(res.segments.begin(), res.segments.end(),
+                        [&](int seg) { return is_movable[seg] != 0; }))
             for (int seg : res.segments)
                 is_movable[seg] = 1;
-    }
 
-    std::vector<Vec2> snapshot(netlist.numInstances());
-    for (int i = 0; i < netlist.numInstances(); ++i)
-        snapshot[i] = netlist.instance(i).pos;
-    const Rect original_region = netlist.region();
-
-    LegalizeResult result;
-    for (int attempt_idx = 0; attempt_idx < 4; ++attempt_idx) {
-        if (cancel && cancel->cancelled()) {
-            result.cancelled = true;
-            return result;
-        }
-        if (attempt_idx > 0) {
-            const double grow =
-                1.0 + 0.08 * static_cast<double>(attempt_idx);
-            Rect region = original_region;
-            region.hi.x = region.lo.x + original_region.width() * grow;
-            region.hi.y = region.lo.y + original_region.height() * grow;
-            netlist.setRegion(region);
-            // Fixed instances keep their legal sites; only the movable
-            // set restarts from the warm-placement input.
-            for (int i = 0; i < netlist.numInstances(); ++i)
-                if (is_movable[i])
-                    netlist.instance(i).pos = snapshot[i];
-            warn(str("Legalizer: scoped retry with region grown ",
-                     (grow - 1.0) * 100.0, "%"));
-        }
-        if (attemptScoped(netlist, is_movable, result, cancel)) {
-            if (result.cancelled)
-                return result;
-            result.legal = isLegal(netlist);
-            if (!result.legal)
-                warn("Legalizer: scoped layout has residual overlaps");
-            return result;
-        }
-    }
-    fatal("Legalizer: scoped legalization failed even after region "
-          "expansion");
-}
-
-LegalizeResult
-Legalizer::legalize(Netlist &netlist, const CancelToken *cancel) const
-{
-    // Snapshot the global-placement solution so retries with a larger
-    // region restart from the same input.
+    // Snapshot the input so retries with a larger region restart the
+    // movable set from the same positions.
     std::vector<Vec2> snapshot(netlist.numInstances());
     for (int i = 0; i < netlist.numInstances(); ++i)
         snapshot[i] = netlist.instance(i).pos;
@@ -424,17 +240,17 @@ Legalizer::legalize(Netlist &netlist, const CancelToken *cancel) const
             const double grow =
                 1.0 + 0.08 * static_cast<double>(attempt_idx);
             Rect region = original_region;
-            region.hi.x =
-                region.lo.x + original_region.width() * grow;
-            region.hi.y =
-                region.lo.y + original_region.height() * grow;
+            region.hi.x = region.lo.x + original_region.width() * grow;
+            region.hi.y = region.lo.y + original_region.height() * grow;
             netlist.setRegion(region);
+            // Fixed instances keep their legal sites.
             for (int i = 0; i < netlist.numInstances(); ++i)
-                netlist.instance(i).pos = snapshot[i];
+                if (is_movable[i])
+                    netlist.instance(i).pos = snapshot[i];
             warn(str("Legalizer: retrying with region grown ",
                      (grow - 1.0) * 100.0, "%"));
         }
-        if (attempt(netlist, result, cancel)) {
+        if (attempt(netlist, is_movable, result, cancel)) {
             if (result.cancelled)
                 return result;
             result.legal = isLegal(netlist);

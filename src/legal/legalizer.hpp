@@ -4,6 +4,8 @@
  *   1. qubits: greedy spiral search, then min-cost-flow refinement;
  *   2. resonator segments: Tetris-style scan;
  *   3. integration-aware repair (Algorithm 1).
+ * One pass serves both entry points: full legalization is the scoped
+ * pass with every instance movable.
  */
 
 #ifndef QPLACER_LEGAL_LEGALIZER_HPP
@@ -77,8 +79,9 @@ class Legalizer
     explicit Legalizer(LegalizerParams params = {});
 
     /**
-     * Legalize @p netlist in place. If the region is too fragmented to
-     * fit everything, it is grown by 8% steps (up to 3 retries) before
+     * Legalize @p netlist in place: legalizeScoped() with every
+     * instance movable. If the region is too fragmented to fit
+     * everything, it is grown by 8% steps (up to 3 retries) before
      * giving up with fatal(). @p cancel (optional) is polled at pass
      * boundaries; on cancellation the partially legalized layout is
      * left in place and the result carries cancelled = true.
@@ -95,7 +98,7 @@ class Legalizer
      * movable (chains stay contiguous), and a fixed instance whose
      * footprint conflicts (stale prior site overlapping another fixed
      * instance) is demoted to movable rather than corrupting the grid.
-     * Retries with region growth like legalize(), restoring only the
+     * Retries with the same 8% region growth, restoring only the
      * movable instances between attempts.
      */
     LegalizeResult legalizeScoped(Netlist &netlist,
@@ -109,14 +112,15 @@ class Legalizer
     static bool isLegal(const Netlist &netlist, double tol_um = 1.0);
 
   private:
-    /** One legalization pass; false if the region ran out of room. */
-    bool attempt(Netlist &netlist, LegalizeResult &result,
-                 const CancelToken *cancel) const;
-
-    /** One scoped pass over @p is_movable (per-instance flags). */
-    bool attemptScoped(Netlist &netlist, const std::vector<char> &is_movable,
-                       LegalizeResult &result,
-                       const CancelToken *cancel) const;
+    /**
+     * One legalization pass over @p is_movable (per-instance flags,
+     * a copy: conflicting fixed instances are demoted to movable);
+     * false if the region ran out of room. Full legalization is this
+     * pass with every flag set: there are no fixed obstacles, and
+     * every resonator is Tetris-scanned and repaired.
+     */
+    bool attempt(Netlist &netlist, std::vector<char> is_movable,
+                 LegalizeResult &result, const CancelToken *cancel) const;
 
     LegalizerParams params_;
 };

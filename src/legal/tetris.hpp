@@ -18,28 +18,29 @@
 namespace qplacer {
 
 /**
- * Legalize all resonator segments of @p netlist onto @p grid (which
- * already contains the fixed qubits). Updates instance positions and
- * occupies the grid.
+ * Legalize the segments of the resonators in @p resonators onto
+ * @p grid (which already contains the placed qubits). Updates instance
+ * positions and occupies the grid.
  *
  * When @p params.resonanceCheck is set (Qplacer mode), candidate slots
  * adjacent to a near-resonant foreign instance are skipped within a
  * bounded search radius (falling back to the plain nearest slot when
  * no clean one exists), so the tau constraint survives legalization.
  *
- * When @p only_resonators is non-null, just those resonator ids are
- * processed (scoped re-legalization, Legalizer::legalizeScoped); all
- * other segments must already occupy @p grid and are treated as fixed
- * obstacles. The scan order among the subset matches the full scan.
+ * The Legalizer passes every resonator for full legalization and the
+ * movable chains for a scoped one; segments of resonators not listed
+ * must already occupy @p grid and are treated as fixed obstacles. The
+ * scan order among a subset matches the full scan.
  *
- * @param displacement_um Out: total displacement over all segments.
+ * @param displacement_um Out: total displacement over the listed
+ *        segments.
  * @return false if some segment found no free slot (caller should
  *         retry with a larger region).
  */
 bool tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
                             const IntegrationParams &params,
                             double &displacement_um,
-                            const std::vector<int> *only_resonators = nullptr);
+                            const std::vector<int> &resonators);
 
 } // namespace qplacer
 

@@ -73,7 +73,8 @@ std::string
 str(Args &&...args)
 {
     std::ostringstream oss;
-    (oss << ... << args);
+    if constexpr (sizeof...(args) > 0)
+        (oss << ... << args);
     return oss.str();
 }
 

@@ -419,5 +419,61 @@ TEST(FastEquivalence, FullLegalizerFastMatchesReference)
               ref_res.segmentDisplacementUm);
 }
 
+TEST(FastEquivalence, ScopedLegalizerFastMatchesReference)
+{
+    // The scoped pass with fixed obstacles: start from a legal layout,
+    // hold every even instance fixed, jitter the odd ones, and leave
+    // one fixed qubit on a stale site overlapping another fixed qubit,
+    // so the demotion restart runs.
+    const Topology topo = makeGrid(6, 6);
+    const auto freqs = FrequencyAssigner().assign(topo);
+    Netlist built = NetlistBuilder().build(topo, freqs);
+    Legalizer().legalize(built);
+    ASSERT_TRUE(Legalizer::isLegal(built));
+
+    Rng rng(2024);
+    std::vector<int> movable;
+    for (int i = 1; i < built.numInstances(); i += 2) {
+        movable.push_back(i);
+        Vec2 &pos = built.instance(i).pos;
+        pos.x += rng.uniform(-600.0, 600.0);
+        pos.y += rng.uniform(-600.0, 600.0);
+    }
+    const Vec2 fixed_a = built.instance(0).pos;
+    built.instance(2).pos = Vec2(fixed_a.x + 100.0, fixed_a.y);
+    ASSERT_FALSE(Legalizer::isLegal(built));
+
+    Netlist fast_nl = built;
+    Netlist ref_nl = built;
+    LegalizerParams fast_params;
+    fast_params.probeEngine = ProbeEngine::Fast;
+    LegalizerParams ref_params;
+    ref_params.probeEngine = ProbeEngine::Reference;
+
+    const LegalizeResult fast_res =
+        Legalizer(fast_params).legalizeScoped(fast_nl, movable);
+    const LegalizeResult ref_res =
+        Legalizer(ref_params).legalizeScoped(ref_nl, movable);
+
+    EXPECT_TRUE(fast_res.legal);
+    EXPECT_TRUE(Legalizer::isLegal(fast_nl));
+    EXPECT_FALSE(fast_nl.instance(2).pos == built.instance(2).pos)
+        << "the stale fixed qubit was not demoted";
+    EXPECT_TRUE(bitwiseSameLayout(fast_nl, ref_nl));
+    EXPECT_EQ(fast_nl.region().hi, ref_nl.region().hi);
+    EXPECT_EQ(fast_res.qubitDisplacementUm, ref_res.qubitDisplacementUm);
+    EXPECT_EQ(fast_res.segmentDisplacementUm,
+              ref_res.segmentDisplacementUm);
+    EXPECT_EQ(fast_res.integration.initiallyBroken,
+              ref_res.integration.initiallyBroken);
+    EXPECT_EQ(fast_res.integration.repaired, ref_res.integration.repaired);
+    EXPECT_EQ(fast_res.integration.unintegrated,
+              ref_res.integration.unintegrated);
+    EXPECT_EQ(fast_res.integration.moves, ref_res.integration.moves);
+    EXPECT_EQ(fast_res.integration.swaps, ref_res.integration.swaps);
+    EXPECT_EQ(fast_res.legal, ref_res.legal);
+    EXPECT_EQ(fast_res.cancelled, ref_res.cancelled);
+}
+
 } // namespace
 } // namespace qplacer

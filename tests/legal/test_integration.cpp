@@ -124,7 +124,7 @@ TEST(Integration, RepairReattachesStrandedSegment)
         }
     }
     const IntegrationLegalizer legalizer;
-    const auto result = legalizer.run(f.nl, grid);
+    const auto result = legalizer.run(f.nl, grid, {f.resA});
     EXPECT_EQ(result.initiallyBroken, 1);
     EXPECT_EQ(result.unintegrated, 0);
     EXPECT_TRUE(legalizer.integrationLegal(f.nl, f.resA));
@@ -153,7 +153,7 @@ TEST(Integration, ResonanceCheckBlocksBadMoves)
     IntegrationParams params;
     params.resonanceCheck = true;
     const IntegrationLegalizer legalizer(params);
-    legalizer.run(f.nl, grid);
+    legalizer.run(f.nl, grid, {f.resA, f.resB});
 
     // Wherever the stray ended up, it must not be adjacent to the
     // foreign resonant chain.

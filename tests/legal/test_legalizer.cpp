@@ -5,6 +5,7 @@
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
 #include "topology/generators.hpp"
+#include "util/cancel.hpp"
 
 namespace qplacer {
 namespace {
@@ -89,6 +90,61 @@ TEST(Legalizer, ExpandsRegionWhenTooTight)
     const LegalizeResult result = Legalizer().legalize(nl);
     EXPECT_TRUE(result.legal);
     EXPECT_GE(nl.region().area(), before); // may have grown
+}
+
+TEST(Legalizer, RetryGrowsRegionInEightPercentSteps)
+{
+    // Falcon sized at 95% utilization does not fit its sized region:
+    // the retry loop grows it (8%, then 16%) until the pass succeeds.
+    const Topology topo = makeFalcon();
+    const auto freqs = FrequencyAssigner().assign(topo);
+    Netlist nl = NetlistBuilder().build(topo, freqs, 0.95);
+    PlacerParams params;
+    params.threads = 1;
+    GlobalPlacer(params).place(nl);
+    const Rect sized = nl.region();
+
+    const LegalizeResult result = Legalizer().legalize(nl);
+    EXPECT_TRUE(result.legal);
+    EXPECT_TRUE(Legalizer::isLegal(nl));
+
+    const Rect grown = nl.region();
+    EXPECT_EQ(grown.lo.x, sized.lo.x);
+    EXPECT_EQ(grown.lo.y, sized.lo.y);
+    int steps = 0;
+    for (int k = 1; k <= 3; ++k) {
+        const double grow = 1.0 + 0.08 * static_cast<double>(k);
+        if (grown.hi.x == sized.lo.x + sized.width() * grow &&
+            grown.hi.y == sized.lo.y + sized.height() * grow) {
+            steps = k;
+        }
+    }
+    EXPECT_GE(steps, 1) << "region " << grown.width() << " x "
+                        << grown.height() << " is not the sized "
+                        << sized.width() << " x " << sized.height()
+                        << " grown by a whole number of 8% steps";
+}
+
+TEST(Legalizer, PreCancelledTokenLeavesLayoutUntouched)
+{
+    const Netlist placed = placedNetlist(3, 3);
+    CancelToken token;
+    token.cancel();
+
+    Netlist full = placed;
+    const LegalizeResult full_result = Legalizer().legalize(full, &token);
+    EXPECT_TRUE(full_result.cancelled);
+    EXPECT_TRUE(bitwiseSameLayout(full, placed));
+    EXPECT_EQ(full.region().lo, placed.region().lo);
+    EXPECT_EQ(full.region().hi, placed.region().hi);
+
+    Netlist scoped = placed;
+    const LegalizeResult scoped_result =
+        Legalizer().legalizeScoped(scoped, {0, 1, 2}, &token);
+    EXPECT_TRUE(scoped_result.cancelled);
+    EXPECT_TRUE(bitwiseSameLayout(scoped, placed));
+    EXPECT_EQ(scoped.region().lo, placed.region().lo);
+    EXPECT_EQ(scoped.region().hi, placed.region().hi);
 }
 
 TEST(Legalizer, ClassicModeSkipsResonanceChecks)

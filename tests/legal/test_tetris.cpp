@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "freq/assigner.hpp"
 #include "legal/tetris.hpp"
 #include "netlist/builder.hpp"
@@ -14,6 +16,14 @@ smallNetlist()
     const Topology topo = makeGrid(3, 3);
     const auto freqs = FrequencyAssigner().assign(topo);
     return NetlistBuilder().build(topo, freqs, 0.6);
+}
+
+std::vector<int>
+allResonators(const Netlist &nl)
+{
+    std::vector<int> ids(nl.resonators().size());
+    std::iota(ids.begin(), ids.end(), 0);
+    return ids;
 }
 
 TEST(Tetris, PlacesAllSegmentsWithoutOverlap)
@@ -40,7 +50,8 @@ TEST(Tetris, PlacesAllSegmentsWithoutOverlap)
 
     double displacement = 0.0;
     IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement,
+                                       allResonators(nl)));
     EXPECT_GE(displacement, 0.0);
 
     // No padded overlaps among all instances.
@@ -77,7 +88,8 @@ TEST(Tetris, ChainsStayContiguous)
     }
     double displacement = 0.0;
     IntegrationParams params;
-    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    ASSERT_TRUE(tetrisLegalizeSegments(nl, grid, params, displacement,
+                                       allResonators(nl)));
 
     // Consecutive chain segments end up near each other (the anchor
     // policy): median consecutive distance is a small number of blocks.
@@ -90,8 +102,9 @@ TEST(Tetris, ChainsStayContiguous)
             close += a.dist(b) <= 900.0;
             ++total;
         }
-        if (total > 0)
+        if (total > 0) {
             EXPECT_GT(close * 2, total) << "resonator " << res.id;
+        }
     }
 }
 
@@ -103,7 +116,8 @@ TEST(Tetris, FailsGracefullyWhenRegionTooSmall)
     OccupancyGrid grid(nl.region(), 100);
     double displacement = 0.0;
     IntegrationParams params;
-    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, params, displacement));
+    EXPECT_FALSE(tetrisLegalizeSegments(nl, grid, params, displacement,
+                                        allResonators(nl)));
 }
 
 } // namespace
