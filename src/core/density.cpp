@@ -41,95 +41,62 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
         panic("DensityModel::evaluate: position count mismatch");
 
     // Rasterize charges; the density map stores charge per bin. Each
-    // chunk splats into its own grid, and the grids are summed bin-wise
-    // in chunk order (deterministic for a fixed thread count).
-    grid_.clear();
-    const int splat_chunks = parallelChunkCount(
-        pool_, instances.size(), ThreadPool::kGrainMedium);
-    // Chunks 1..k-1 accumulate into private grids (allocated on first
-    // threaded use; chunk 0 writes straight into grid_).
-    if (splat_chunks > 1 &&
-        splatScratch_.size() <
-            static_cast<std::size_t>(splat_chunks - 1)) {
-        splatScratch_.assign(static_cast<std::size_t>(splat_chunks - 1),
-                             grid_);
+    // footprint is clamped once, in parallel. The rows are then split
+    // into one band per chunk; each band walks every footprint in
+    // index order and splats only its own rows, so every bin gets the
+    // serial splat's terms in the serial order.
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        const Vec2 p = positions[i];
+        if (!std::isfinite(p.x) || !std::isfinite(p.y))
+            panic(str("DensityModel::evaluate: non-finite position of "
+                      "instance ",
+                      i));
     }
-    parallelForChunks(
+    footprints_.resize(instances.size());
+    parallelFor(
         pool_, instances.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            BinGrid &g = chunk == 0 ? grid_ : splatScratch_[chunk - 1];
-            if (chunk != 0)
-                g.clear();
+        [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                const Vec2 p = positions[i];
-                if (!std::isfinite(p.x) || !std::isfinite(p.y))
-                    panic(str("DensityModel::evaluate: non-finite "
-                              "position of instance ",
-                              i));
                 const Instance &inst = instances[i];
-                const Rect fp = Rect::fromCenter(p, inst.paddedWidth(),
-                                                 inst.paddedHeight());
-                g.splat(fp, inst.paddedArea());
+                footprints_[i] = grid_.footprint(Rect::fromCenter(
+                    positions[i], inst.paddedWidth(), inst.paddedHeight()));
             }
         },
         ThreadPool::kGrainMedium);
-    const std::size_t cells = grid_.data().size();
-    if (splat_chunks > 1) {
-        // Sum only the chunks that actually held instances, in chunk
-        // order; a chunk that was empty never cleared its grid.
-        std::vector<const double *> parts;
-        for (int c = 1; c < splat_chunks; ++c) {
-            const std::size_t n = instances.size();
-            if (ThreadPool::chunkBegin(n, splat_chunks, c) <
-                ThreadPool::chunkBegin(n, splat_chunks, c + 1))
-                parts.push_back(splatScratch_[c - 1].data().data());
-        }
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    double q = grid_.data()[i];
-                    for (const double *part : parts)
-                        q += part[i];
-                    grid_.data()[i] = q;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
+    grid_.clear();
+    parallelFor(
+        instances.size() < ThreadPool::kGrainMedium ? nullptr : pool_,
+        static_cast<std::size_t>(grid_.ny()),
+        [&](std::size_t row_begin, std::size_t row_end) {
+            for (std::size_t i = 0; i < instances.size(); ++i)
+                grid_.splat(footprints_[i], instances[i].paddedArea(),
+                            static_cast<int>(row_begin),
+                            static_cast<int>(row_end));
+        });
 
-    // Overflow: charge above the per-bin capacity. The same pass
-    // normalizes the map to charge density (charge / bin area) straight
-    // into the solver's input, so the field scale is
+    // Overflow: charge above the per-bin capacity, summed in bin order
+    // on one thread. The normalized map (charge / bin area) goes
+    // straight into the solver's input, so the field scale is
     // resolution-independent.
+    const std::size_t cells = grid_.data().size();
     const double capacity = targetDensity_ * grid_.binArea();
+    double over = 0.0;
+    double total_charge = 0.0;
+    for (const double q : grid_.data()) {
+        over += std::max(0.0, q - capacity);
+        total_charge += q;
+    }
+    overflow_ = total_charge > 0.0 ? over / total_charge : 0.0;
     const double inv_bin_area = 1.0 / grid_.binArea();
     std::vector<double> &density = solver_.input();
     density.resize(cells);
-    const int chunks = parallelChunks(pool_);
-    std::vector<double> over_part(static_cast<std::size_t>(chunks), 0.0);
-    std::vector<double> charge_part(static_cast<std::size_t>(chunks), 0.0);
-    parallelForChunks(
+    parallelFor(
         pool_, cells,
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            double over = 0.0;
-            double charge = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const double q = grid_.data()[i];
-                over += std::max(0.0, q - capacity);
-                charge += q;
-                density[i] = q * inv_bin_area;
-            }
-            over_part[chunk] = over;
-            charge_part[chunk] = charge;
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                density[i] = grid_.data()[i] * inv_bin_area;
         },
         ThreadPool::kGrainFine);
-    double over = 0.0;
-    double total_charge = 0.0;
-    for (int c = 0; c < chunks; ++c) {
-        over += over_part[c];
-        total_charge += charge_part[c];
-    }
-    overflow_ = total_charge > 0.0 ? over / total_charge : 0.0;
 
     const PoissonSolver::Solution &field = solver_.solve();
     const double *ex = field.fieldX.data();
@@ -143,12 +110,8 @@ DensityModel::evaluate(const std::vector<Vec2> &positions,
         pool_, instances.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                const Instance &inst = instances[i];
-                const double q = inst.paddedArea();
-                const Rect fp =
-                    Rect::fromCenter(positions[i], inst.paddedWidth(),
-                                     inst.paddedHeight());
-                const Vec2 xi = grid_.sample(fp, ex, ey);
+                const double q = instances[i].paddedArea();
+                const Vec2 xi = grid_.sample(footprints_[i], ex, ey);
                 gradient[i].x = -q * xi.x;
                 gradient[i].y = -q * xi.y;
             }

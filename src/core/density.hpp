@@ -32,10 +32,10 @@ class DensityModel
      * @param bins           Bins per axis (power of two).
      * @param target_density Target bin fill D-hat in [0, 1].
      * @param pool           Worker pool shared with the Poisson solver
-     *                       (null = serial; not owned). Bin charges are
-     *                       accumulated per chunk and reduced in chunk
-     *                       order, so results are deterministic for a
-     *                       fixed thread count.
+     *                       (null = serial; not owned). Each chunk
+     *                       splats one band of rows, and every reduction
+     *                       runs in index order, so every thread count
+     *                       reproduces the serial bits.
      * @param path           Poisson DCT execution path (the default
      *                       planned path is bitwise-identical to the
      *                       unplanned one; the knob exists for the
@@ -75,11 +75,8 @@ class DensityModel
     double targetDensity_;
     ThreadPool *pool_;
     double overflow_ = 1.0;
-    /**
-     * Per-chunk charge grids for the parallel splat (chunks 1..k-1),
-     * allocated lazily on the first threaded evaluate().
-     */
-    std::vector<BinGrid> splatScratch_;
+    /** Clamped instance footprints of the last evaluate(). */
+    std::vector<BinGrid::Footprint> footprints_;
 };
 
 } // namespace qplacer

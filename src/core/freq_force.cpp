@@ -110,35 +110,66 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
 {
     if (positions.size() != charge_.size())
         panic("FreqForceModel::evaluate: position count mismatch");
-    gradient.assign(positions.size(), Vec2());
+    const std::size_t n = positions.size();
+    gradient.resize(n);
     const CellGrid grid = binInstances(positions);
 
-    // Each unordered pair is handled once, by its lower index i; pairs
-    // are chunked over i, with per-chunk gradient slices so the writes
-    // to both endpoints never collide across threads.
-    const std::size_t n = positions.size();
+    // Force of pair (i, j), i < j: @p term is added to i's gradient and
+    // subtracted from j's. False when the pair is out of range.
+    auto pairTerm = [&](std::size_t i, std::size_t j, Vec2 &term,
+                        double &potential) {
+        const double s = charge_[i] * charge_[j];
+        const double radius = cutoffFactor_ * (charge_[i] + charge_[j]);
+        Vec2 delta = positions[i] - positions[j];
+        double d = delta.norm();
+        if (d >= radius)
+            return false; // already spatially isolated
+        // Clamp so coincident instances still get a finite, directed
+        // push (deterministic tie-break direction from the indices).
+        const double d_min = 0.25 * (charge_[i] + charge_[j]);
+        if (d < 1e-9) {
+            const double ang =
+                0.7548776662 * static_cast<double>(i * 31 + j);
+            delta = Vec2(std::cos(ang), std::sin(ang)) * d_min;
+            d = d_min;
+        } else if (d < d_min) {
+            delta = delta * (d_min / d);
+            d = d_min;
+        }
+        potential = s * (1.0 / d - 1.0 / radius);
+        // dU/dx_i = -s (x_i - x_j) / d^3.
+        term = delta * (-s / (d * d * d));
+        return true;
+    };
+
+    // The serial order: pairs (i, j > i) by ascending i, then j; each
+    // adds its term to i and subtracts it from j. Instance i thus sees
+    // its partners below i ascending, then those above i ascending.
+    // A chunk owns the instances [begin, end) and writes only their
+    // gradients. It first adds, per instance, the pairs whose lower
+    // partner lies below begin (owned by an earlier chunk, which skips
+    // that write), then walks its own pairs in serial order. Every
+    // gradient thus gets the serial terms in the serial order.
     const int chunks =
         parallelChunkCount(pool_, n, ThreadPool::kGrainMedium);
-    Vec2 *scratch = nullptr;
-    if (chunks > 1) {
-        gradScratch_.assign(static_cast<std::size_t>(chunks) * n, Vec2());
-        scratch = gradScratch_.data();
-    }
-    std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-
+    chunkScratch_.resize(static_cast<std::size_t>(chunks));
+    for (ChunkScratch &cs : chunkScratch_)
+        cs.potential.clear();
     parallelForChunks(
         pool_, n,
         [&](int chunk, std::size_t begin, std::size_t end) {
-            Vec2 *g = chunks == 1
-                          ? gradient.data()
-                          : scratch + static_cast<std::size_t>(chunk) * n;
-            std::vector<std::int32_t> candidates;
-            double potential = 0.0;
+            ChunkScratch &cs =
+                chunkScratch_[static_cast<std::size_t>(chunk)];
+            std::vector<std::int32_t> &candidates = cs.candidates;
+            cs.upStart.assign(1, 0);
+            cs.up.clear();
+            const auto lo = static_cast<std::int32_t>(begin);
             for (std::size_t i = begin; i < end; ++i) {
-                // Near-resonant partners j > i in the 3x3 cell
-                // neighbourhood; cells x0..x1 of a row are contiguous
-                // in binned_. Candidates are compacted branch-free:
-                // every one is written, only kept ones advance count.
+                // Near-resonant partners j > i or j < begin in the 3x3
+                // cell neighbourhood; cells x0..x1 of a row are
+                // contiguous in binned_. Candidates are compacted
+                // branch-free: every one is written, only kept ones
+                // advance count.
                 const int cx = cellOf_[i] % grid.cols;
                 const int cy = cellOf_[i] / grid.cols;
                 const int x0 = std::max(cx - 1, 0);
@@ -159,7 +190,7 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                         const double radius =
                             cutoffFactor_ * (charge_[i] + b.charge);
                         const bool keep =
-                            (b.index > self) &
+                            ((b.index > self) | (b.index < lo)) &
                             (std::abs(positions[i].x - b.pos.x) < radius) &
                             (std::abs(positions[i].y - b.pos.y) < radius) &
                             isResonant(freq_[i], b.freq, thresholdHz_) &
@@ -170,57 +201,43 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                 }
                 std::sort(candidates.begin(), candidates.begin() + count);
 
-                for (std::size_t c = 0; c < count; ++c) {
-                    const std::int32_t j = candidates[c];
-                    const double s = charge_[i] * charge_[j];
-                    const double radius =
-                        cutoffFactor_ * (charge_[i] + charge_[j]);
-                    Vec2 delta = positions[i] - positions[j];
-                    double d = delta.norm();
-                    if (d >= radius)
-                        continue; // already spatially isolated
-                    // Clamp so coincident instances still get a finite,
-                    // directed push (deterministic tie-break direction
-                    // from the indices).
-                    const double d_min =
-                        0.25 * (charge_[i] + charge_[j]);
-                    if (d < 1e-9) {
-                        const double ang = 0.7548776662 *
-                                           static_cast<double>(i * 31 + j);
-                        delta = Vec2(std::cos(ang), std::sin(ang)) * d_min;
-                        d = d_min;
-                    } else if (d < d_min) {
-                        delta = delta * (d_min / d);
-                        d = d_min;
-                    }
-                    potential += s * (1.0 / d - 1.0 / radius);
-                    // dU/dx_i = -s (x_i - x_j) / d^3.
-                    const double coef = -s / (d * d * d);
-                    g[i] += delta * coef;
-                    g[j] -= delta * coef;
+                // Partners below begin come first in the sorted list.
+                Vec2 g;
+                std::size_t c = 0;
+                for (; c < count && candidates[c] < lo; ++c) {
+                    Vec2 term;
+                    double potential;
+                    if (pairTerm(candidates[c], i, term, potential))
+                        g -= term;
+                }
+                gradient[i] = g;
+                cs.up.insert(cs.up.end(), candidates.begin() + c,
+                             candidates.begin() + count);
+                cs.upStart.push_back(static_cast<std::int32_t>(cs.up.size()));
+            }
+
+            for (std::size_t i = begin; i < end; ++i) {
+                for (std::int32_t e = cs.upStart[i - begin];
+                     e < cs.upStart[i - begin + 1]; ++e) {
+                    const auto j = static_cast<std::size_t>(cs.up[e]);
+                    Vec2 term;
+                    double potential;
+                    if (!pairTerm(i, j, term, potential))
+                        continue;
+                    cs.potential.push_back(potential);
+                    gradient[i] += term;
+                    if (j < end)
+                        gradient[j] -= term;
                 }
             }
-            partial[chunk] = potential;
         },
         ThreadPool::kGrainMedium);
 
-    if (chunks > 1) {
-        parallelFor(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    Vec2 acc;
-                    for (int c = 0; c < chunks; ++c)
-                        acc += scratch[static_cast<std::size_t>(c) * n +
-                                       i];
-                    gradient[i] = acc;
-                }
-            },
-            ThreadPool::kGrainFine);
-    }
+    // The potential sums in serial pair order: chunk by chunk.
     double total = 0.0;
-    for (double p : partial)
-        total += p;
+    for (const ChunkScratch &cs : chunkScratch_)
+        for (double potential : cs.potential)
+            total += potential;
     return total;
 }
 

@@ -52,10 +52,11 @@ class FreqForceModel
      * The per-pair strength is scaled by the geometric mean of the two
      * padded footprints so that large components repel proportionally.
      *
-     * @param pool Worker pool (null = serial; not owned). Pairs are
-     *             chunked by their lower instance index and per-chunk
-     *             gradients reduced in chunk order, deterministic for a
-     *             fixed thread count.
+     * @param pool Worker pool (null = serial; not owned). Instances are
+     *             chunked by index; each chunk writes only its own
+     *             instances' gradients, adding their pair terms in the
+     *             serial order, so every thread count reproduces the
+     *             serial bits.
      */
     FreqForceModel(const Netlist &netlist, double threshold_hz,
                    double cutoff_factor = 0.75,
@@ -106,8 +107,19 @@ class FreqForceModel
     double cutoffFactor_;
     double maxRadius_; ///< Largest cutoff radius over all pairs.
     ThreadPool *pool_;
-    /** Per-chunk gradient scatter buffers (chunks x instances). */
-    mutable std::vector<Vec2> gradScratch_;
+    /** One chunk's pair lists of an evaluate(). */
+    struct ChunkScratch
+    {
+        std::vector<std::int32_t> candidates; ///< One instance's partners.
+        /**
+         * Partners j > i of each instance i of the chunk [begin, end),
+         * ascending: up[upStart[i - begin] .. upStart[i - begin + 1]).
+         */
+        std::vector<std::int32_t> upStart;
+        std::vector<std::int32_t> up;
+        std::vector<double> potential; ///< Pair potentials, in pair order.
+    };
+    mutable std::vector<ChunkScratch> chunkScratch_;
     /** Cell list: cell of each instance, cell offsets, binned inputs. */
     mutable std::vector<std::int32_t> cellOf_;
     mutable std::vector<std::int32_t> cellStart_;

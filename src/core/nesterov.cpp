@@ -57,34 +57,17 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
         panic("NesterovOptimizer::step: gradient size mismatch");
 
     const std::size_t n = v_.size();
-    const int chunks = parallelChunks(pool_);
 
-    // Barzilai-Borwein step length from successive lookahead gradients.
+    // Barzilai-Borwein step length from successive lookahead gradients,
+    // summed in index order on one thread.
     if (havePrev_) {
-        std::vector<double> num_part(static_cast<std::size_t>(chunks),
-                                     0.0);
-        std::vector<double> den_part(static_cast<std::size_t>(chunks),
-                                     0.0);
-        parallelForChunks(
-            pool_, n,
-            [&](int chunk, std::size_t begin, std::size_t end) {
-                double num = 0.0;
-                double den = 0.0;
-                for (std::size_t i = begin; i < end; ++i) {
-                    const Vec2 ds = v_[i] - prevV_[i];
-                    const Vec2 dg = gradient[i] - prevG_[i];
-                    num += ds.normSq();
-                    den += ds.dot(dg);
-                }
-                num_part[chunk] = num;
-                den_part[chunk] = den;
-            },
-            ThreadPool::kGrainFine);
         double num = 0.0;
         double den = 0.0;
-        for (int c = 0; c < chunks; ++c) {
-            num += num_part[c];
-            den += den_part[c];
+        for (std::size_t i = 0; i < n; ++i) {
+            const Vec2 ds = v_[i] - prevV_[i];
+            const Vec2 dg = gradient[i] - prevG_[i];
+            num += ds.normSq();
+            den += ds.dot(dg);
         }
         if (den > 1e-16)
             alpha_ = num / den;
@@ -94,6 +77,7 @@ NesterovOptimizer::step(const std::vector<Vec2> &gradient)
 
     // max() is exact, so per-chunk maxima combine to the serial result
     // regardless of chunking.
+    const int chunks = parallelChunks(pool_);
     auto grad_max = [&](auto &&value) {
         std::vector<double> part(static_cast<std::size_t>(chunks), 0.0);
         parallelForChunks(

@@ -10,18 +10,14 @@ namespace qplacer {
 
 namespace {
 
+/** Sum of |g_x| + |g_y|, in index order on one thread. */
 double
-l1Norm(ThreadPool *pool, const std::vector<Vec2> &g)
+l1Norm(const std::vector<Vec2> &g)
 {
-    return parallelReduce(
-        pool, g.size(),
-        [&](std::size_t begin, std::size_t end) {
-            double acc = 0.0;
-            for (std::size_t i = begin; i < end; ++i)
-                acc += std::abs(g[i].x) + std::abs(g[i].y);
-            return acc;
-        },
-        ThreadPool::kGrainFine);
+    double acc = 0.0;
+    for (const Vec2 &v : g)
+        acc += std::abs(v.x) + std::abs(v.y);
+    return acc;
 }
 
 } // namespace
@@ -73,10 +69,10 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
         // pairs isolated); initialize its penalty weight the first time
         // it produces a gradient.
         if (!freqLambdaLive_) {
-            const double fr_norm = l1Norm(pool_, gradFreq_);
+            const double fr_norm = l1Norm(gradFreq_);
             if (fr_norm > 1e-12) {
                 freqLambda_ =
-                    params_.freqWeight * l1Norm(pool_, gradWl_) / fr_norm;
+                    params_.freqWeight * l1Norm(gradWl_) / fr_norm;
                 freqLambdaInit_ = freqLambda_;
                 freqLambdaLive_ = true;
             }
@@ -89,9 +85,9 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
         // Same lazy initialization as the frequency force: the penalty
         // weight is meaningless until some net actually crosses a cut.
         if (!cutLambdaLive_) {
-            const double cut_norm = l1Norm(pool_, gradCut_);
+            const double cut_norm = l1Norm(gradCut_);
             if (cut_norm > 1e-12) {
-                cutLambda_ = params_.cutWeight * l1Norm(pool_, gradWl_) /
+                cutLambda_ = params_.cutWeight * l1Norm(gradWl_) /
                              cut_norm;
                 cutLambdaInit_ = cutLambda_;
                 cutLambdaLive_ = true;
@@ -129,8 +125,8 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
 {
     wirelength_.evaluate(positions, gradWl_);
     density_.evaluate(positions, gradDen_);
-    const double wl_norm = l1Norm(pool_, gradWl_);
-    const double den_norm = l1Norm(pool_, gradDen_);
+    const double wl_norm = l1Norm(gradWl_);
+    const double den_norm = l1Norm(gradDen_);
     lambda_ = den_norm > 1e-12 ? wl_norm / den_norm : 0.0;
 
     freqLambda_ = 0.0;
@@ -138,7 +134,7 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
     wlGradNorm_ = wl_norm;
     if (freqForce_) {
         freqForce_->evaluate(positions, gradFreq_);
-        const double fr_norm = l1Norm(pool_, gradFreq_);
+        const double fr_norm = l1Norm(gradFreq_);
         if (fr_norm > 1e-12) {
             freqLambda_ = params_.freqWeight * wl_norm / fr_norm;
             freqLambdaInit_ = freqLambda_;
@@ -150,7 +146,7 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
     cutLambdaLive_ = false;
     if (cutPenalty_) {
         cutPenalty_->evaluate(positions, gradCut_);
-        const double cut_norm = l1Norm(pool_, gradCut_);
+        const double cut_norm = l1Norm(gradCut_);
         if (cut_norm > 1e-12) {
             cutLambda_ = params_.cutWeight * wl_norm / cut_norm;
             cutLambdaInit_ = cutLambda_;

@@ -94,10 +94,11 @@ struct PlacerParams
     double detuningThresholdHz = kDetuningThresholdHz;
 
     /**
-     * Worker threads for the density/DCT hot path (0 = hardware
-     * concurrency, capped; 1 = serial). Results are bitwise-
-     * deterministic for a fixed thread count and match across thread
-     * counts within floating-point tolerance.
+     * Worker threads for the placement hot path (0 = hardware
+     * concurrency, capped; 1 = serial). Every kernel reproduces its
+     * serial result bit for bit, so a layout depends only on
+     * (topology, params, seed): it is bitwise the same at every thread
+     * count.
      */
     int threads = 0;
 

@@ -13,6 +13,23 @@ WirelengthModel::WirelengthModel(const Netlist &netlist, double gamma,
 {
     if (gamma <= 0.0)
         fatal("WirelengthModel: gamma must be positive");
+    // Counting sort of the pins by instance, in net order.
+    const auto &nets = netlist.nets();
+    incidenceStart_.assign(netlist.instances().size() + 1, 0);
+    for (const Net &net : nets) {
+        ++incidenceStart_[static_cast<std::size_t>(net.a) + 1];
+        ++incidenceStart_[static_cast<std::size_t>(net.b) + 1];
+    }
+    for (std::size_t k = 1; k < incidenceStart_.size(); ++k)
+        incidenceStart_[k] += incidenceStart_[k - 1];
+    incidence_.resize(2 * nets.size());
+    std::vector<std::int32_t> fill(incidenceStart_.begin(),
+                                   incidenceStart_.end() - 1);
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        const auto net = static_cast<std::int32_t>(i);
+        incidence_[static_cast<std::size_t>(fill[nets[i].a]++)] = net;
+        incidence_[static_cast<std::size_t>(fill[nets[i].b]++)] = ~net;
+    }
 }
 
 void
@@ -27,7 +44,9 @@ double
 WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                           std::vector<Vec2> &gradient) const
 {
-    gradient.assign(positions.size(), Vec2());
+    const std::size_t n = positions.size();
+    if (n + 1 != incidenceStart_.size())
+        panic("WirelengthModel::evaluate: position count mismatch");
 
     // For a 2-pin net the log-sum-exp wirelength reduces to the stable
     // closed form |d| + 2*gamma*log1p(exp(-|d|/gamma)) per axis, with
@@ -38,27 +57,11 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
         grad = std::tanh(d / (2.0 * gamma_));
     };
 
-    // Nets sharing an instance collide on the gradient, so each chunk
-    // scatters into a private slice (the output itself when a single
-    // chunk runs); the slices are then summed per instance in chunk
-    // order.
     const auto &nets = netlist_.nets();
-    const std::size_t n = positions.size();
-    const int chunks = parallelChunkCount(pool_, nets.size(),
-                                          ThreadPool::kGrainMedium);
-    Vec2 *scratch = nullptr;
-    if (chunks > 1) {
-        gradScratch_.assign(static_cast<std::size_t>(chunks) * n, Vec2());
-        scratch = gradScratch_.data();
-    }
-    std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-    parallelForChunks(
+    netTerms_.resize(nets.size());
+    parallelFor(
         pool_, nets.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            Vec2 *g = chunks == 1
-                          ? gradient.data()
-                          : scratch + static_cast<std::size_t>(chunk) * n;
-            double acc = 0.0;
+        [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
                 const Net &net = nets[i];
                 const Vec2 &pa = positions[net.a];
@@ -66,53 +69,51 @@ WirelengthModel::evaluate(const std::vector<Vec2> &positions,
                 double vx, gx, vy, gy;
                 axis(pa.x - pb.x, vx, gx);
                 axis(pa.y - pb.y, vy, gy);
-                acc += net.weight * (vx + vy);
-                g[net.a].x += net.weight * gx;
-                g[net.a].y += net.weight * gy;
-                g[net.b].x -= net.weight * gx;
-                g[net.b].y -= net.weight * gy;
+                netTerms_[i] = {Vec2(net.weight * gx, net.weight * gy),
+                                net.weight * (vx + vy)};
             }
-            partial[chunk] = acc;
         },
         ThreadPool::kGrainMedium);
-    if (chunks > 1) {
-        parallelFor(
-            pool_, n,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    Vec2 acc;
-                    for (int c = 0; c < chunks; ++c)
-                        acc += scratch[static_cast<std::size_t>(c) * n +
-                                       i];
-                    gradient[i] = acc;
+
+    // Each instance adds its nets' terms in net order (pin a adds the
+    // term, pin b subtracts it): the order, and so the bits, of a
+    // serial scatter over the nets.
+    gradient.resize(n);
+    parallelFor(
+        pool_, n,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) {
+                Vec2 acc;
+                for (std::int32_t e = incidenceStart_[k];
+                     e < incidenceStart_[k + 1]; ++e) {
+                    const std::int32_t net = incidence_[e];
+                    if (net >= 0)
+                        acc += netTerms_[net].grad;
+                    else
+                        acc -= netTerms_[~net].grad;
                 }
-            },
-            ThreadPool::kGrainFine);
-    }
+                gradient[k] = acc;
+            }
+        },
+        ThreadPool::kGrainMedium);
+
     double total = 0.0;
-    for (double p : partial)
-        total += p;
+    for (const NetTerm &term : netTerms_)
+        total += term.value;
     return total;
 }
 
 double
 WirelengthModel::hpwl(const std::vector<Vec2> &positions) const
 {
-    const auto &nets = netlist_.nets();
-    return parallelReduce(
-        pool_, nets.size(),
-        [&](std::size_t begin, std::size_t end) {
-            double partial = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const Net &net = nets[i];
-                const Vec2 &pa = positions[net.a];
-                const Vec2 &pb = positions[net.b];
-                partial += net.weight * (std::abs(pa.x - pb.x) +
-                                         std::abs(pa.y - pb.y));
-            }
-            return partial;
-        },
-        ThreadPool::kGrainMedium);
+    double total = 0.0;
+    for (const Net &net : netlist_.nets()) {
+        const Vec2 &pa = positions[net.a];
+        const Vec2 &pb = positions[net.b];
+        total += net.weight *
+                 (std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
+    }
+    return total;
 }
 
 } // namespace qplacer

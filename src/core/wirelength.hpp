@@ -7,6 +7,7 @@
 #ifndef QPLACER_CORE_WIRELENGTH_HPP
 #define QPLACER_CORE_WIRELENGTH_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -24,18 +25,21 @@ class WirelengthModel
      * @param netlist Netlist whose nets are measured (kept by pointer;
      *                must outlive the model).
      * @param gamma   Smoothing parameter (um); smaller = closer to HPWL.
-     * @param pool    Worker pool (null = serial; not owned). Nets are
-     *                chunked and per-chunk gradients are reduced in
-     *                chunk order, so results are deterministic for a
-     *                fixed thread count.
+     * @param pool    Worker pool (null = serial; not owned). Net terms
+     *                are computed in parallel and each instance gathers
+     *                its nets' terms in net order, so every thread
+     *                count reproduces the serial bits.
+     *
+     * Net endpoints are read once, here.
      */
     WirelengthModel(const Netlist &netlist, double gamma,
                     ThreadPool *pool = nullptr);
 
     /**
      * Smooth wirelength of the current @p positions and its gradient.
-     * @param positions   Center per instance.
-     * @param gradient    Output, accumulated (resized/zeroed inside).
+     * @param positions   Center per instance; panics on a count that
+     *                    differs from the netlist's instances.
+     * @param gradient    Output (resized inside, every entry written).
      * @return smooth wirelength value (um).
      */
     double evaluate(const std::vector<Vec2> &positions,
@@ -53,8 +57,19 @@ class WirelengthModel
     const Netlist &netlist_;
     double gamma_;
     ThreadPool *pool_;
-    /** Per-chunk gradient scatter buffers (chunks x instances). */
-    mutable std::vector<Vec2> gradScratch_;
+    /**
+     * Nets of each instance in net order: incidence_[incidenceStart_[k]
+     * .. incidenceStart_[k + 1]) holds net i for pin a and ~i for pin b.
+     */
+    std::vector<std::int32_t> incidenceStart_;
+    std::vector<std::int32_t> incidence_;
+    /** Per-net gradient term (of pin a) and value, one evaluate(). */
+    struct NetTerm
+    {
+        Vec2 grad;
+        double value;
+    };
+    mutable std::vector<NetTerm> netTerms_;
 };
 
 } // namespace qplacer

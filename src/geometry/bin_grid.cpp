@@ -87,21 +87,40 @@ BinGrid::clampRect(const Rect &r) const
     return out.intersect(region_);
 }
 
+BinGrid::Footprint
+BinGrid::footprint(const Rect &rect) const
+{
+    Footprint fp;
+    fp.rect = clampRect(rect);
+    if (fp.rect.empty())
+        return fp;
+    fp.ix0 = clampX(fp.rect.lo.x);
+    fp.ix1 = clampX(fp.rect.hi.x - 1e-12);
+    fp.iy0 = clampY(fp.rect.lo.y);
+    fp.iy1 = clampY(fp.rect.hi.y - 1e-12);
+    return fp;
+}
+
 void
 BinGrid::splat(const Rect &rect, double amount)
 {
-    const Rect r = clampRect(rect);
-    if (r.empty())
+    splat(footprint(rect), amount, 0, ny_);
+}
+
+void
+BinGrid::splat(const Footprint &fp, double amount, int row_begin,
+               int row_end)
+{
+    const Rect &r = fp.rect;
+    const int iy0 = std::max(fp.iy0, row_begin);
+    const int iy1 = std::min(fp.iy1, row_end - 1);
+    if (r.empty() || iy0 > iy1)
         return;
     const double total_area = r.area();
     if (total_area <= 0.0)
         return;
-    const int ix0 = clampX(r.lo.x);
-    const int ix1 = clampX(r.hi.x - 1e-12);
-    const int iy0 = clampY(r.lo.y);
-    const int iy1 = clampY(r.hi.y - 1e-12);
     for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
+        for (int ix = fp.ix0; ix <= fp.ix1; ++ix) {
             const double w = binRect(ix, iy).overlapArea(r) / total_area;
             if (w > 0.0)
                 data_[static_cast<std::size_t>(iy) * nx_ + ix] +=
@@ -114,18 +133,21 @@ Vec2
 BinGrid::sample(const Rect &rect, const double *mapX,
                 const double *mapY) const
 {
-    const Rect r = clampRect(rect);
+    return sample(footprint(rect), mapX, mapY);
+}
+
+Vec2
+BinGrid::sample(const Footprint &fp, const double *mapX,
+                const double *mapY) const
+{
+    const Rect &r = fp.rect;
     if (r.empty())
         return Vec2();
-    const int ix0 = clampX(r.lo.x);
-    const int ix1 = clampX(r.hi.x - 1e-12);
-    const int iy0 = clampY(r.lo.y);
-    const int iy1 = clampY(r.hi.y - 1e-12);
     double acc_x = 0.0;
     double acc_y = 0.0;
     double wsum = 0.0;
-    for (int iy = iy0; iy <= iy1; ++iy) {
-        for (int ix = ix0; ix <= ix1; ++ix) {
+    for (int iy = fp.iy0; iy <= fp.iy1; ++iy) {
+        for (int ix = fp.ix0; ix <= fp.ix1; ++ix) {
             const double w = binRect(ix, iy).overlapArea(r);
             const std::size_t k = static_cast<std::size_t>(iy) * nx_ + ix;
             acc_x += w * mapX[k];

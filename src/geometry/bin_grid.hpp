@@ -60,11 +60,37 @@ class BinGrid
     Vec2 binCenter(int ix, int iy) const;
 
     /**
+     * A rect as splat() and sample() see it: shifted into the region so
+     * no charge is lost (clipped if larger than the region), with the
+     * range of bins it overlaps.
+     */
+    struct Footprint
+    {
+        Rect rect;   ///< The clamped rect; empty() if nothing is left.
+        int ix0 = 0; ///< Overlapped bins: columns ix0..ix1 and rows
+        int ix1 = 0; ///< iy0..iy1, inclusive (unset when rect is
+        int iy0 = 0; ///< empty).
+        int iy1 = 0;
+    };
+
+    /** The footprint of @p rect on this grid. */
+    Footprint footprint(const Rect &rect) const;
+
+    /**
      * Add @p amount distributed over the bins overlapping @p rect,
      * proportionally to overlap area. Parts of @p rect outside the region
      * are clamped onto the boundary bins so no charge is lost.
      */
     void splat(const Rect &rect, double amount);
+
+    /**
+     * splat() of a precomputed footprint, writing only rows
+     * [@p row_begin, @p row_end). A bin's share depends only on the bin
+     * and the footprint, so splatting band by band writes the same
+     * values as splatting whole.
+     */
+    void splat(const Footprint &fp, double amount, int row_begin,
+               int row_end);
 
     /**
      * Area-weighted averages over @p rect of two maps laid out like
@@ -74,6 +100,10 @@ class BinGrid
      * to the result's x, the y average to its y.
      */
     Vec2 sample(const Rect &rect, const double *mapX,
+                const double *mapY) const;
+
+    /** sample() over a precomputed footprint. */
+    Vec2 sample(const Footprint &fp, const double *mapX,
                 const double *mapY) const;
 
     /** Sum over all bins. */

@@ -5,9 +5,13 @@
  * The pool splits an index range [0, n) into exactly threads() chunks
  * with boundaries that depend only on (n, threads()), runs one chunk
  * per thread (chunk 0 on the caller), and lets the caller combine
- * per-chunk partial results in chunk-index order. This makes every
- * parallel region bitwise-deterministic for a fixed thread count and
- * reproducible within floating-point tolerance across thread counts.
+ * per-chunk partial results in chunk-index order. That makes a region
+ * bitwise-deterministic for a fixed thread count. A floating-point sum
+ * of per-chunk partials still depends on the chunk count, so the
+ * placement kernels never form one: each writes only its own chunk's
+ * outputs, adding terms in the serial order, and runs scalar sums in
+ * index order on one thread. A layout is thus bitwise the same at
+ * every thread count (gated by ctest -L determinism).
  *
  * With threads() == 1 (or a null pool passed to the free helpers) the
  * range runs serially as a single chunk on the calling thread, which
@@ -143,7 +147,8 @@ void parallelFor(ThreadPool *pool, std::size_t n,
 
 /**
  * Sum of body(begin, end) over all chunks, accumulated in chunk-index
- * order so the result is deterministic for a fixed chunk count.
+ * order so the result is deterministic for a fixed chunk count. Its
+ * rounding depends on that count, so no placement kernel uses it.
  */
 double
 parallelReduce(ThreadPool *pool, std::size_t n,

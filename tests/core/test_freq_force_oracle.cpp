@@ -3,11 +3,12 @@
  * Cell-list frequency force vs. the all-pairs reference.
  *
  * OracleFreqForce walks every near-resonant pair of a CollisionMap and
- * skips the ones out of range -- the force's original formulation.
- * FreqForceModel finds the same pairs through a cell list; it must
- * reproduce the oracle's gradient and potential bit for bit, at every
- * thread count, on placed devices and on the geometric edge cases of
- * the grid (clamping, one cell, boundary-straddling pairs).
+ * skips the ones out of range -- the force's original formulation,
+ * run serially. FreqForceModel finds the same pairs through a cell
+ * list; at every thread count it must reproduce the serial oracle's
+ * gradient and potential bit for bit, on placed devices and on the
+ * geometric edge cases of the grid (clamping, one cell,
+ * boundary-straddling pairs).
  */
 
 #include <gtest/gtest.h>
@@ -30,13 +31,16 @@
 namespace qplacer {
 namespace {
 
-/** The all-pairs frequency force over CollisionMap partner lists. */
+/**
+ * The all-pairs frequency force over CollisionMap partner lists, run
+ * serially: pairs (i, j > i) by ascending i, then j.
+ */
 class OracleFreqForce
 {
   public:
     OracleFreqForce(const Netlist &netlist, const CollisionMap &map,
-                    double cutoff_factor, ThreadPool *pool)
-        : map_(map), cutoffFactor_(cutoff_factor), pool_(pool)
+                    double cutoff_factor)
+        : map_(map), cutoffFactor_(cutoff_factor)
     {
         charge_.resize(netlist.instances().size());
         for (std::size_t i = 0; i < charge_.size(); ++i)
@@ -47,85 +51,41 @@ class OracleFreqForce
                     std::vector<Vec2> &gradient) const
     {
         gradient.assign(positions.size(), Vec2());
-
-        const std::size_t n = positions.size();
-        const int chunks =
-            parallelChunkCount(pool_, n, ThreadPool::kGrainMedium);
-        Vec2 *scratch = nullptr;
-        if (chunks > 1) {
-            gradScratch_.assign(static_cast<std::size_t>(chunks) * n,
-                                Vec2());
-            scratch = gradScratch_.data();
-        }
-        std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-
-        parallelForChunks(
-            pool_, n,
-            [&](int chunk, std::size_t begin, std::size_t end) {
-                Vec2 *g = chunks == 1
-                              ? gradient.data()
-                              : scratch + static_cast<std::size_t>(chunk) * n;
-                double potential = 0.0;
-                for (std::size_t i = begin; i < end; ++i) {
-                    for (std::int32_t j : map_.partners(i)) {
-                        if (static_cast<std::size_t>(j) <= i)
-                            continue; // handle each unordered pair once
-                        const double s = charge_[i] * charge_[j];
-                        const double radius =
-                            cutoffFactor_ * (charge_[i] + charge_[j]);
-                        Vec2 delta = positions[i] - positions[j];
-                        double d = delta.norm();
-                        if (d >= radius)
-                            continue; // already spatially isolated
-                        const double d_min =
-                            0.25 * (charge_[i] + charge_[j]);
-                        if (d < 1e-9) {
-                            const double ang =
-                                0.7548776662 *
-                                static_cast<double>(i * 31 + j);
-                            delta =
-                                Vec2(std::cos(ang), std::sin(ang)) * d_min;
-                            d = d_min;
-                        } else if (d < d_min) {
-                            delta = delta * (d_min / d);
-                            d = d_min;
-                        }
-                        potential += s * (1.0 / d - 1.0 / radius);
-                        const double coef = -s / (d * d * d);
-                        g[i] += delta * coef;
-                        g[j] -= delta * coef;
-                    }
+        double potential = 0.0;
+        for (std::size_t i = 0; i < positions.size(); ++i) {
+            for (std::int32_t j : map_.partners(i)) {
+                if (static_cast<std::size_t>(j) <= i)
+                    continue; // handle each unordered pair once
+                const double s = charge_[i] * charge_[j];
+                const double radius =
+                    cutoffFactor_ * (charge_[i] + charge_[j]);
+                Vec2 delta = positions[i] - positions[j];
+                double d = delta.norm();
+                if (d >= radius)
+                    continue; // already spatially isolated
+                const double d_min = 0.25 * (charge_[i] + charge_[j]);
+                if (d < 1e-9) {
+                    const double ang =
+                        0.7548776662 * static_cast<double>(i * 31 + j);
+                    delta = Vec2(std::cos(ang), std::sin(ang)) * d_min;
+                    d = d_min;
+                } else if (d < d_min) {
+                    delta = delta * (d_min / d);
+                    d = d_min;
                 }
-                partial[chunk] = potential;
-            },
-            ThreadPool::kGrainMedium);
-
-        if (chunks > 1) {
-            parallelFor(
-                pool_, n,
-                [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        Vec2 acc;
-                        for (int c = 0; c < chunks; ++c)
-                            acc += scratch[static_cast<std::size_t>(c) * n +
-                                           i];
-                        gradient[i] = acc;
-                    }
-                },
-                ThreadPool::kGrainFine);
+                potential += s * (1.0 / d - 1.0 / radius);
+                const double coef = -s / (d * d * d);
+                gradient[i] += delta * coef;
+                gradient[j] -= delta * coef;
+            }
         }
-        double total = 0.0;
-        for (double p : partial)
-            total += p;
-        return total;
+        return potential;
     }
 
   private:
     const CollisionMap &map_;
     std::vector<double> charge_;
     double cutoffFactor_;
-    ThreadPool *pool_;
-    mutable std::vector<Vec2> gradScratch_;
 };
 
 constexpr double kThresholdHz = 0.1e9;
@@ -142,8 +102,9 @@ sameBits(const std::vector<Vec2> &a, const std::vector<Vec2> &b)
 }
 
 /**
- * Memcmp the cell-list force against the oracle at threads 1..4.
- * Returns the (shared) potential.
+ * Memcmp the cell-list force at threads 1..4 against the serial
+ * oracle: every thread count must reproduce the serial bits. Returns
+ * the oracle's potential.
  */
 double
 expectBitwise(const Netlist &nl, const std::vector<Vec2> &pos,
@@ -151,18 +112,17 @@ expectBitwise(const Netlist &nl, const std::vector<Vec2> &pos,
 {
     const CollisionMap map(nl.frequencies(), nl.resonatorGroups(),
                            threshold_hz);
-    double potential = 0.0;
+    std::vector<Vec2> want;
+    const double u_want = OracleFreqForce(nl, map, cutoff).evaluate(pos, want);
     for (int threads = 1; threads <= 4; ++threads) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         std::unique_ptr<ThreadPool> pool;
         if (threads > 1)
             pool = std::make_unique<ThreadPool>(threads);
         const FreqForceModel model(nl, threshold_hz, cutoff, pool.get());
-        const OracleFreqForce oracle(nl, map, cutoff, pool.get());
 
-        std::vector<Vec2> got, want;
+        std::vector<Vec2> got;
         const double u_got = model.evaluate(pos, got);
-        const double u_want = oracle.evaluate(pos, want);
         EXPECT_EQ(std::memcmp(&u_got, &u_want, sizeof(double)), 0)
             << u_got << " vs " << u_want;
         EXPECT_TRUE(sameBits(got, want));
@@ -171,9 +131,8 @@ expectBitwise(const Netlist &nl, const std::vector<Vec2> &pos,
         const double u_again = model.evaluate(pos, again);
         EXPECT_EQ(std::memcmp(&u_again, &u_got, sizeof(double)), 0);
         EXPECT_TRUE(sameBits(again, got));
-        potential = u_want;
     }
-    return potential;
+    return u_want;
 }
 
 Instance

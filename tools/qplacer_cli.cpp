@@ -74,8 +74,8 @@ Options:
   --seed N            RNG seed for the placer (default: 1).
   --threads N         Worker threads for the placement hot path
                       (default 0 = hardware concurrency, capped; 1 =
-                      serial). Same seed + thread count reproduces the
-                      placement bit for bit.
+                      serial). The placement is bit for bit the same
+                      at every thread count.
   --jobs N            Place the topology N times with seeds seed..seed+N-1
                       through one PlacementSession (default: 1). Per-job
                       seeds wrap modulo 2^64: a base seed near
