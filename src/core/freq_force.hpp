@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "geometry/vec2.hpp"
+#include "geometry/cell_list.hpp"
 #include "netlist/netlist.hpp"
 
 namespace qplacer {
@@ -26,12 +26,13 @@ class ThreadPool;
 /**
  * Coulomb-style repulsion between near-resonant instances.
  *
- * Every evaluate() bins the instances into a uniform grid whose cells
- * are at least as wide as the largest cutoff radius, so every pair in
- * range sits in the same or an adjacent cell. The resonance and
+ * Every evaluate() bins the instances into a CellList with cells at
+ * least as wide as the largest cutoff radius, so every pair in range
+ * sits in the same or an adjacent cell. The resonance and
  * same-resonator tests run only on those 3x3-neighbourhood candidates,
- * which makes an evaluation O(n) for a spread-out layout instead of
- * O(near-resonant pairs).
+ * read from a cell-ordered copy of the inputs, which makes an
+ * evaluation O(n) for a spread-out layout instead of O(near-resonant
+ * pairs).
  */
 class FreqForceModel
 {
@@ -84,21 +85,6 @@ class FreqForceModel
         std::int32_t group;
     };
 
-    /** Cell-grid shape of one evaluation. */
-    struct CellGrid
-    {
-        int cols = 1;
-        int rows = 1;
-    };
-
-    /**
-     * Counting-sort the instances into cells (cellOf_, cellStart_,
-     * binned_; ascending index within a cell). Positions outside the
-     * region are clamped into the border cells. Panics on a non-finite
-     * position.
-     */
-    CellGrid binInstances(const std::vector<Vec2> &positions) const;
-
     const Netlist &netlist_;
     std::vector<double> freq_;   ///< Per-instance frequency (Hz).
     std::vector<int> group_;     ///< Resonator id (-1 for qubits).
@@ -120,10 +106,8 @@ class FreqForceModel
         std::vector<double> potential; ///< Pair potentials, in pair order.
     };
     mutable std::vector<ChunkScratch> chunkScratch_;
-    /** Cell list: cell of each instance, cell offsets, binned inputs. */
-    mutable std::vector<std::int32_t> cellOf_;
-    mutable std::vector<std::int32_t> cellStart_;
-    mutable std::vector<Binned> binned_;
+    mutable CellList cells_;             ///< Instances binned by position.
+    mutable std::vector<Binned> binned_; ///< Inputs in cells_.order().
 };
 
 } // namespace qplacer

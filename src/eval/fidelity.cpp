@@ -78,7 +78,9 @@ FidelityModel::evaluate(const Netlist &netlist,
             ++out.violatedQubitPairs;
         } else if (!a_qubit && !b_qubit) {
             // Resonator-resonator crosstalk; count once per resonator
-            // pair, only if at least one resonator is in use.
+            // pair, only if at least one resonator is in use. The pair's
+            // eps comes from its first witness in hotspots.pairs order,
+            // ascending (a, b) (see analyzeHotspots).
             const auto key = std::make_pair(
                 std::min(a.resonator, b.resonator),
                 std::max(a.resonator, b.resonator));

@@ -4,8 +4,7 @@
 
 #include "eval/area.hpp"
 #include "freq/spectrum.hpp"
-#include "geometry/spatial_hash.hpp"
-#include "util/logging.hpp"
+#include "geometry/cell_list.hpp"
 
 namespace qplacer {
 
@@ -30,45 +29,35 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
         return report;
 
     double max_extent = 0.0;
-    std::vector<Rect> region_rects;
-    region_rects.reserve(instances.size());
+    std::vector<Vec2> positions;
+    positions.reserve(instances.size());
     for (const Instance &inst : instances) {
         max_extent = std::max(
             {max_extent, inst.paddedWidth(), inst.paddedHeight()});
-        region_rects.push_back(inst.paddedRect());
+        positions.push_back(inst.pos);
     }
-    const Rect extent = boundingBox(region_rects);
 
-    SpatialHash hash(extent, std::max(max_extent, 1.0));
-    for (const Instance &inst : instances)
-        hash.insert(inst.id, inst.pos);
+    // Cells at least `reach` wide put every pair within reach in the
+    // same or adjacent cells; pairs arrive by ascending (a, b).
+    const double reach = max_extent + params.adjacencyTolUm;
+    CellList cells;
+    cells.build(netlist.region(), reach, positions);
+    cells.forEachNearPair([&](std::size_t a, std::size_t b) {
+        const Instance &inst = instances[a];
+        const Instance &o = instances[b];
+        double gap = 0.0;
+        if ((o.pos - inst.pos).normSq() > reach * reach ||
+            !isHotspotPair(inst, o, params, gap))
+            return;
 
-    const double query_radius = max_extent + params.adjacencyTolUm;
-    for (const Instance &inst : instances) {
-        const Rect mine = inst.paddedRect();
-        for (std::int32_t other : hash.query(inst.pos, query_radius)) {
-            if (other <= inst.id)
-                continue; // each unordered pair once
-            const Instance &o = instances[other];
-            double gap = 0.0;
-            if (!isHotspotPair(inst, o, params, gap))
-                continue;
-            const Rect theirs = o.paddedRect();
-
-            HotspotPair pair;
-            pair.a = inst.id;
-            pair.b = other;
-            pair.gapUm = gap;
-            pair.distUm = inst.pos.dist(o.pos);
-            // Shared-boundary length: inflate by half the tolerance so
-            // barely-separated footprints still register a length.
-            pair.overlapLenUm =
-                mine.inflated(params.adjacencyTolUm / 2.0)
-                    .overlapLength(
-                        theirs.inflated(params.adjacencyTolUm / 2.0));
-            report.pairs.push_back(pair);
-        }
-    }
+        // Shared-boundary length: inflate by half the tolerance so
+        // barely-separated footprints still register a length.
+        const double half_tol = params.adjacencyTolUm / 2.0;
+        report.pairs.push_back(
+            {inst.id, o.id, gap, inst.pos.dist(o.pos),
+             inst.paddedRect().inflated(half_tol).overlapLength(
+                 o.paddedRect().inflated(half_tol))});
+    });
 
     // P_h (Eq. 18), expressed as a percentage.
     const AreaMetrics area = computeArea(netlist);

@@ -57,7 +57,14 @@ struct HotspotParams
 bool isHotspotPair(const Instance &a, const Instance &b,
                    const HotspotParams &params, double &gapUm);
 
-/** Scan a placed netlist for hotspots. */
+/**
+ * Scan a placed netlist for hotspots. Reach: isHotspotPair() is tested
+ * only on pairs whose centres are at most max_extent + adjacencyTolUm
+ * apart (max_extent: the largest padded width or height), so a diagonal
+ * pair further apart is not reported even if its footprints are
+ * adjacent. Contract: report.pairs is sorted by ascending (a, b), a < b;
+ * the fidelity model depends on this order.
+ */
 HotspotReport analyzeHotspots(const Netlist &netlist,
                               HotspotParams params = {});
 

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "geometry/spatial_hash.hpp"
+#include "geometry/cell_list.hpp"
 #include "math/min_cost_flow.hpp"
 #include "util/logging.hpp"
 
@@ -94,25 +94,22 @@ nearestSites(const std::vector<Vec2> &desired,
 {
     const int n = static_cast<int>(desired.size());
 
-    // Hash sized to cover every site *and* every desired point (the
-    // query centers), so nothing is clamped into edge buckets and the
-    // kNearest early-out bound stays valid. ~1 site per bucket.
+    // ~1 site per cell; the region covers the query centers too, so
+    // few of them clamp into border cells.
     Rect bbox(sites[0], sites[0]);
-    for (const Vec2 &p : sites)
-        bbox = bbox.unionWith(Rect(p, p));
-    for (const Vec2 &p : desired)
-        bbox = bbox.unionWith(Rect(p, p));
+    for (int i = 0; i < n; ++i)
+        bbox = bbox.unionWith(Rect(sites[i], sites[i]))
+                   .unionWith(Rect(desired[i], desired[i]));
     bbox = bbox.inflated(1.0);
-    const double cell =
-        std::max(1.0, std::max(bbox.width(), bbox.height()) /
-                          std::sqrt(static_cast<double>(n)));
-    SpatialHash hash(bbox, cell);
-    for (int s = 0; s < n; ++s)
-        hash.insert(s, sites[s]);
+    CellList cells;
+    cells.build(bbox,
+                std::max(1.0, std::max(bbox.width(), bbox.height()) /
+                                  std::sqrt(static_cast<double>(n))),
+                sites);
 
     std::vector<std::vector<std::int32_t>> candidates(n);
     for (int i = 0; i < n; ++i) {
-        candidates[i] = hash.kNearest(desired[i], neighbors);
+        candidates[i] = cells.kNearest(desired[i], neighbors);
         if (std::find(candidates[i].begin(), candidates[i].end(), i) ==
             candidates[i].end())
             candidates[i].push_back(i);

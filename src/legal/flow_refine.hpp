@@ -11,10 +11,11 @@
  * exact formulation is dense (every site, in index order: n^2 arcs),
  * which dominates legalization wall-time past a few hundred qubits.
  * Above FlowRefineOptions::sparseThreshold each qubit's candidates are
- * its k nearest pooled sites (SpatialHash::kNearest) plus its own
- * spiral site; the own-site arc guarantees a perfect matching always
- * exists, so the sparse solve never fails -- it is simply allowed to
- * return a (near-optimal) assignment instead of the exact optimum.
+ * its k nearest pooled sites (CellList::kNearest, nearest first, ties
+ * to the lower site index, so each list is unique) plus its own spiral
+ * site; the own-site arc guarantees a perfect matching always exists,
+ * so the sparse solve never fails -- it is simply allowed to return a
+ * (near-optimal) assignment instead of the exact optimum.
  */
 
 #ifndef QPLACER_LEGAL_FLOW_REFINE_HPP

@@ -5,7 +5,7 @@
 #include <numeric>
 #include <optional>
 
-#include "geometry/spatial_hash.hpp"
+#include "geometry/cell_list.hpp"
 #include "legal/flow_refine.hpp"
 #include "legal/spiral.hpp"
 #include "legal/tetris.hpp"
@@ -269,31 +269,28 @@ Legalizer::isLegal(const Netlist &netlist, double tol_um)
     const Rect region = netlist.region().inflated(tol_um);
 
     double max_extent = 0.0;
-    for (const Instance &inst : instances) {
-        max_extent = std::max(
-            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
-    }
-    SpatialHash hash(netlist.region(), std::max(max_extent, 1.0));
+    std::vector<Vec2> positions;
+    positions.reserve(instances.size());
     for (const Instance &inst : instances) {
         if (!region.containsRect(inst.paddedRect()))
             return false;
-        hash.insert(inst.id, inst.pos);
+        max_extent = std::max(
+            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
+        positions.push_back(inst.pos);
     }
-    for (const Instance &inst : instances) {
-        const Rect mine = inst.paddedRect();
-        for (std::int32_t other :
-             hash.query(inst.pos, max_extent + tol_um)) {
-            if (other <= inst.id)
-                continue;
-            const Rect theirs = instances[other].paddedRect();
-            const Rect overlap = mine.intersect(theirs);
-            if (!overlap.empty() && overlap.width() > tol_um &&
-                overlap.height() > tol_um) {
-                return false;
-            }
-        }
-    }
-    return true;
+    // Overlapping padded footprints have centres less than max_extent
+    // apart on both axes, so they share a cell or sit in adjacent ones.
+    CellList cells;
+    cells.build(netlist.region(), max_extent, positions);
+    bool legal = true;
+    cells.forEachNearPair([&](std::size_t a, std::size_t b) {
+        const Rect overlap =
+            instances[a].paddedRect().intersect(instances[b].paddedRect());
+        if (!overlap.empty() && overlap.width() > tol_um &&
+            overlap.height() > tol_um)
+            legal = false;
+    });
+    return legal;
 }
 
 } // namespace qplacer

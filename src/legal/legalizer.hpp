@@ -106,8 +106,9 @@ class Legalizer
                                   const CancelToken *cancel = nullptr) const;
 
     /**
-     * Verify no two padded footprints overlap (with small tolerance)
-     * and all instances are in-region.
+     * Verify that every padded footprint lies in the region (grown by
+     * @p tol_um) and that no two overlap by more than @p tol_um on both
+     * axes. Every pair is checked, corner overlaps included.
      */
     static bool isLegal(const Netlist &netlist, double tol_um = 1.0);
 

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "core/placer.hpp"
 #include "freq/assigner.hpp"
 #include "legal/legalizer.hpp"
 #include "netlist/builder.hpp"
+#include "pipeline/flow.hpp"
+#include "topology/factory.hpp"
 #include "topology/generators.hpp"
 #include "util/cancel.hpp"
+#include "util/rng.hpp"
 
 namespace qplacer {
 namespace {
@@ -20,6 +28,47 @@ placedNetlist(int rows, int cols, bool freq_force = true)
     params.freqForce = freq_force;
     GlobalPlacer(params).place(nl);
     return nl;
+}
+
+/** The legalized layout of the default Qplacer flow on @p spec. */
+Netlist
+flowLayout(const std::string &spec)
+{
+    Topology topo;
+    std::string error;
+    EXPECT_TRUE(resolveTopologySpec(spec, topo, &error)) << error;
+    FlowResult result = QplacerFlow(FlowParams{}).run(topo);
+    EXPECT_TRUE(result.status.ok()) << result.status.message;
+    return std::move(result.netlist);
+}
+
+/** O(n^2) scan: pairs whose padded footprints overlap by > tol on both axes. */
+std::vector<std::pair<int, int>>
+overlappingPairs(const Netlist &nl, double tol_um = 1.0)
+{
+    const auto &instances = nl.instances();
+    std::vector<std::pair<int, int>> pairs;
+    for (std::size_t a = 0; a < instances.size(); ++a) {
+        for (std::size_t b = a + 1; b < instances.size(); ++b) {
+            const Rect overlap = instances[a].paddedRect().intersect(
+                instances[b].paddedRect());
+            if (!overlap.empty() && overlap.width() > tol_um &&
+                overlap.height() > tol_um)
+                pairs.emplace_back(static_cast<int>(a), static_cast<int>(b));
+        }
+    }
+    return pairs;
+}
+
+/** The isLegal oracle: every footprint in region, no overlapping pair. */
+bool
+pairwiseLegal(const Netlist &nl, double tol_um = 1.0)
+{
+    const Rect region = nl.region().inflated(tol_um);
+    for (const Instance &inst : nl.instances())
+        if (!region.containsRect(inst.paddedRect()))
+            return false;
+    return overlappingPairs(nl, tol_um).empty();
 }
 
 TEST(Legalizer, ProducesLegalLayout)
@@ -70,6 +119,100 @@ TEST(Legalizer, IsLegalDetectsOverlap)
     // Force an overlap.
     nl.instance(1).pos = nl.instance(0).pos;
     EXPECT_FALSE(Legalizer::isLegal(nl));
+}
+
+TEST(Legalizer, IsLegalDetectsCornerOverlap)
+{
+    // Two of the largest footprints (padded qubits) overlapping by
+    // 80 x 80 um at a corner: their centres are further apart than
+    // max_extent + tol, so a circular query around each centre misses
+    // the pair.
+    Netlist nl = flowLayout("Eagle");
+    ASSERT_TRUE(Legalizer::isLegal(nl));
+    const auto &instances = nl.instances();
+    double max_extent = 0.0;
+    for (const Instance &inst : instances)
+        max_extent = std::max(
+            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
+    const Instance &mover = instances[0];
+    ASSERT_EQ(mover.kind, InstanceKind::Qubit);
+    ASSERT_EQ(mover.paddedWidth(), max_extent);
+    ASSERT_EQ(mover.paddedHeight(), max_extent);
+    const double offset = max_extent - 80.0;
+
+    // Find an anchor qubit and a diagonal where the moved qubit stays
+    // in region and overlaps the anchor and nothing else.
+    const Rect region = nl.region();
+    int anchor = -1;
+    Vec2 target;
+    for (const Instance &inst : instances) {
+        if (inst.kind != InstanceKind::Qubit || inst.id == mover.id)
+            continue;
+        for (const Vec2 dir : {Vec2(1, 1), Vec2(1, -1), Vec2(-1, 1),
+                               Vec2(-1, -1)}) {
+            const Vec2 p = inst.pos + dir * offset;
+            const Rect moved =
+                Rect::fromCenter(p, mover.paddedWidth(), mover.paddedHeight());
+            if (!region.containsRect(moved))
+                continue;
+            bool only_anchor = true;
+            for (const Instance &other : instances) {
+                if (other.id != mover.id && other.id != inst.id &&
+                    moved.overlaps(other.paddedRect())) {
+                    only_anchor = false;
+                    break;
+                }
+            }
+            if (only_anchor) {
+                anchor = inst.id;
+                target = p;
+                break;
+            }
+        }
+        if (anchor >= 0)
+            break;
+    }
+    ASSERT_GE(anchor, 0) << "no clean corner-overlap spot found";
+
+    nl.instance(mover.id).pos = target;
+    const double dist = target.dist(nl.instance(anchor).pos);
+    EXPECT_NEAR(dist, offset * std::sqrt(2.0), 1e-6);
+    EXPECT_GT(dist, max_extent + 1.0);
+    ASSERT_EQ(overlappingPairs(nl),
+              (std::vector<std::pair<int, int>>{
+                  {std::min(mover.id, anchor), std::max(mover.id, anchor)}}));
+    EXPECT_FALSE(Legalizer::isLegal(nl));
+}
+
+TEST(Legalizer, IsLegalMatchesPairwiseScan)
+{
+    for (const std::string spec : {"Falcon", "grid8x8"}) {
+        SCOPED_TRACE(spec);
+        const Netlist placed = flowLayout(spec);
+        ASSERT_TRUE(pairwiseLegal(placed));
+        EXPECT_TRUE(Legalizer::isLegal(placed));
+
+        // Displace one instance at a time: anywhere in the region, or
+        // a short hop that often lands a corner on a neighbour.
+        Rng rng(11);
+        const Rect region = placed.region();
+        int illegal = 0;
+        for (int trial = 0; trial < 40; ++trial) {
+            Netlist nl = placed;
+            const auto k = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(nl.numInstances())));
+            Vec2 &pos = nl.instance(k).pos;
+            if (trial % 2 == 0)
+                pos = Vec2(rng.uniform(region.lo.x, region.hi.x),
+                           rng.uniform(region.lo.y, region.hi.y));
+            else
+                pos += Vec2(rng.uniform(-900, 900), rng.uniform(-900, 900));
+            const bool want = pairwiseLegal(nl);
+            illegal += !want;
+            EXPECT_EQ(Legalizer::isLegal(nl), want) << "trial " << trial;
+        }
+        EXPECT_GT(illegal, 0);
+    }
 }
 
 TEST(Legalizer, IsLegalDetectsOutOfRegion)
