@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "geometry/bin_grid.hpp"
 #include "qplacer.hpp"
 #include "util/config.hpp"
 #include "util/csv.hpp"
@@ -79,80 +78,6 @@ inline void
 banner(const char *what)
 {
     std::printf("== %s ==\n", what);
-}
-
-/** One density-engine benchmark instance (see spectralWorkloads). */
-struct SpectralWorkload
-{
-    std::string name;
-    Topology topo;
-    int bins;
-};
-
-/**
- * The workloads the density/spectral engine drivers time: the largest
- * paper device and a 1024-qubit parametric grid (past every paper
- * device, the north-star scale). Shared so parallel_density and
- * dct_plan always bench the same instances.
- */
-inline std::vector<SpectralWorkload>
-spectralWorkloads()
-{
-    std::vector<SpectralWorkload> workloads;
-    workloads.push_back({"Eagle", makeTopology("Eagle"), 128});
-    workloads.push_back({"grid32x32", makeGrid(32, 32), 256});
-    return workloads;
-}
-
-/**
- * Charge-density map of the netlist's current (warm-start) layout:
- * padded footprints splatted onto a bins x bins grid, normalized to
- * charge per unit area — exactly what DensityModel::evaluate feeds
- * the Poisson solver.
- */
-inline std::vector<double>
-densityMap(const Netlist &netlist, int bins)
-{
-    BinGrid grid(netlist.region(), bins, bins);
-    for (const Instance &inst : netlist.instances()) {
-        grid.splat(Rect::fromCenter(inst.pos, inst.paddedWidth(),
-                                    inst.paddedHeight()),
-                   inst.paddedArea());
-    }
-    std::vector<double> density = grid.data();
-    const double inv_bin_area = 1.0 / grid.binArea();
-    for (double &d : density)
-        d *= inv_bin_area;
-    return density;
-}
-
-/** Everything a density-engine driver times against (see prepare). */
-struct SpectralInstance
-{
-    Netlist netlist;
-    std::vector<Vec2> positions; ///< Warm-start instance centers.
-    std::vector<double> density; ///< densityMap of that layout.
-};
-
-/**
- * Build the netlist, warm-start position snapshot, and density map
- * for one workload with default flow parameters — shared so the
- * density-engine drivers cannot drift onto different instances.
- */
-inline SpectralInstance
-prepare(const SpectralWorkload &wl)
-{
-    FlowParams params;
-    const FrequencyAssigner assigner(params.assigner);
-    const auto freqs = assigner.assign(wl.topo);
-    const NetlistBuilder builder(params.partition);
-    SpectralInstance inst;
-    inst.netlist = builder.build(wl.topo, freqs, params.targetUtil);
-    inst.positions.resize(inst.netlist.instances().size());
-    for (std::size_t i = 0; i < inst.positions.size(); ++i)
-        inst.positions[i] = inst.netlist.instances()[i].pos;
-    inst.density = densityMap(inst.netlist, wl.bins);
-    return inst;
 }
 
 } // namespace qplacer::bench

@@ -36,14 +36,9 @@ class DensityModel
      *                       splats one band of rows, and every reduction
      *                       runs in index order, so every thread count
      *                       reproduces the serial bits.
-     * @param path           Poisson DCT execution path (the default
-     *                       planned path is bitwise-identical to the
-     *                       unplanned one; the knob exists for the
-     *                       planned-vs-unplanned benchmark).
      */
     DensityModel(const Netlist &netlist, int bins, double target_density,
-                 ThreadPool *pool = nullptr,
-                 PoissonSolver::Path path = PoissonSolver::Path::Planned);
+                 ThreadPool *pool = nullptr);
 
     /**
      * Evaluate the density penalty's gradient at @p positions and

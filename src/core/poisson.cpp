@@ -2,8 +2,6 @@
 
 #include <numbers>
 
-#include "math/dct.hpp"
-#include "math/fft.hpp"
 #include "math/plan_cache.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -11,12 +9,11 @@
 namespace qplacer {
 
 PoissonSolver::PoissonSolver(int nx, int ny, double width, double height,
-                             ThreadPool *pool, Path path)
-    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool),
-      path_(path)
+                             ThreadPool *pool)
+    : nx_(nx), ny_(ny), width_(width), height_(height), pool_(pool)
 {
-    if (!Fft::isPowerOfTwo(static_cast<std::size_t>(nx)) ||
-        !Fft::isPowerOfTwo(static_cast<std::size_t>(ny))) {
+    if (!isPowerOfTwo(static_cast<std::size_t>(nx)) ||
+        !isPowerOfTwo(static_cast<std::size_t>(ny))) {
         panic(str("PoissonSolver: grid ", nx, "x", ny,
                   " must be powers of two"));
     }
@@ -50,27 +47,18 @@ PoissonSolver::solve() const
     if (input_.size() != cells)
         panic("PoissonSolver::solve: density map size mismatch");
 
-    // Row/column transform passes on the selected execution path (the
-    // two are bitwise-identical; Unplanned is the benchmark baseline).
-    const auto rows = [&](std::vector<double> &map, Dct::Kind kind) {
-        if (path_ == Path::Planned)
-            rowPlan_->transformRows(map, nx_, ny_, kind, pool_,
-                                    scratch_);
-        else
-            Dct::transformRowsUnplanned(map, nx_, ny_, kind, pool_);
+    using Kind = DctPlan::Kind;
+    const auto rows = [&](std::vector<double> &map, Kind kind) {
+        rowPlan_->transformRows(map, nx_, ny_, kind, pool_, scratch_);
     };
-    const auto cols = [&](std::vector<double> &map, Dct::Kind kind) {
-        if (path_ == Path::Planned)
-            colPlan_->transformCols(map, nx_, ny_, kind, pool_,
-                                    scratch_);
-        else
-            Dct::transformColsUnplanned(map, nx_, ny_, kind, pool_);
+    const auto cols = [&](std::vector<double> &map, Kind kind) {
+        colPlan_->transformCols(map, nx_, ny_, kind, pool_, scratch_);
     };
 
     // Forward 2-D DCT of the density -> eigenbasis coefficients.
     std::vector<double> &coeff = input_;
-    rows(coeff, Dct::Kind::Dct2);
-    cols(coeff, Dct::Kind::Dct2);
+    rows(coeff, Kind::Dct2);
+    cols(coeff, Kind::Dct2);
 
     // One elementwise pass: normalize, divide by the Laplacian
     // eigenvalue (dropping the DC term), and weight by w_u / w_v to
@@ -98,10 +86,10 @@ PoissonSolver::solve() const
         ThreadPool::kGrainFine);
 
     // xi_x: sine series in x, cosine series in y; xi_y the transpose.
-    rows(fx, Dct::Kind::SinSeries);
-    cols(fx, Dct::Kind::CosSeries);
-    rows(fy, Dct::Kind::CosSeries);
-    cols(fy, Dct::Kind::SinSeries);
+    rows(fx, Kind::SinSeries);
+    cols(fx, Kind::CosSeries);
+    rows(fy, Kind::CosSeries);
+    cols(fy, Kind::SinSeries);
     return solution_;
 }
 

@@ -7,7 +7,7 @@
  *     laplacian(psi) = -rho
  * by expanding rho in the cosine eigenbasis cos(w_u x) cos(w_v y),
  * dividing by (w_u^2 + w_v^2), and evaluating the field
- * xi = -grad(psi) via the DCT/DST kernels in math/dct. The density
+ * xi = -grad(psi) via the DCT/DST kernels of math/dct_plan. The density
  * force only ever moves instances along xi, so the potential psi itself
  * is never synthesized: a solve is one forward 2-D DCT plus one mixed
  * sine/cosine series per field component (6 row/column passes).
@@ -16,9 +16,8 @@
  * construction and runs every transform pass through them with owned,
  * reusable scratch (see math/dct_plan). Its input and output maps are
  * solver-owned too, so after the first solve nothing allocates. The
- * plan-free reference kernels remain reachable via Path::Unplanned for
- * benchmarking and equivalence testing; both paths produce
- * bitwise-identical solutions.
+ * plan-free solve that also synthesizes psi is the tests' oracle
+ * (tests/oracles/spectral); the field maps match it bit for bit.
  */
 
 #ifndef QPLACER_CORE_POISSON_HPP
@@ -37,13 +36,6 @@ class ThreadPool;
 class PoissonSolver
 {
   public:
-    /** Which DCT execution path solve() uses. */
-    enum class Path
-    {
-        Planned,   ///< Cached DctPlan + reusable scratch (default).
-        Unplanned, ///< Plan-free reference kernels (per-call alloc).
-    };
-
     /**
      * @param nx, ny    Grid dimensions (powers of two).
      * @param width     Physical region width (um).
@@ -52,11 +44,9 @@ class PoissonSolver
      *                  (null = serial). Not owned; must outlive the
      *                  solver. Results are bitwise-identical for any
      *                  thread count (rows/columns are independent).
-     * @param path      DCT execution path; Unplanned exists for the
-     *                  planned-vs-unplanned benchmark and tests.
      */
     PoissonSolver(int nx, int ny, double width, double height,
-                  ThreadPool *pool = nullptr, Path path = Path::Planned);
+                  ThreadPool *pool = nullptr);
 
     /** Result maps, row-major (index = iy*nx + ix). */
     struct Solution
@@ -93,16 +83,12 @@ class PoissonSolver
     int nx() const { return nx_; }
     int ny() const { return ny_; }
 
-    /** Execution path selected at construction. */
-    Path path() const { return path_; }
-
   private:
     int nx_;
     int ny_;
     double width_;
     double height_;
     ThreadPool *pool_; ///< Transform worker pool (null = serial).
-    Path path_;
     std::vector<double> wu_; ///< Eigen-frequencies along x.
     std::vector<double> wv_; ///< Eigen-frequencies along y.
     std::shared_ptr<const DctPlan> rowPlan_; ///< Plan for length nx.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "geometry/cell_list.hpp"
@@ -118,15 +117,6 @@ nearestSites(const std::vector<Vec2> &desired,
 }
 
 } // namespace
-
-std::vector<int>
-refineAssignment(const std::vector<Vec2> &desired,
-                 const std::vector<Vec2> &sites)
-{
-    FlowRefineOptions exact;
-    exact.sparseThreshold = std::numeric_limits<int>::max();
-    return refineAssignment(desired, sites, exact);
-}
 
 std::vector<int>
 refineAssignment(const std::vector<Vec2> &desired,

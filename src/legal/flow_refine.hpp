@@ -41,20 +41,13 @@ struct FlowRefineOptions
 };
 
 /**
- * Optimal assignment of @p desired positions to @p sites (equal sizes)
- * minimizing total Manhattan displacement -- the exact dense
- * formulation, kept as the test oracle of the sparse path.
+ * Assignment of @p desired positions to @p sites (equal sizes)
+ * minimizing total Manhattan displacement: the exact optimum at sizes
+ * up to @p options.sparseThreshold, sparse candidate arcs (k nearest
+ * sites plus item i's own site i) above it. The own-site arc makes the
+ * flow saturate for any input.
  *
  * @return site index per item.
- */
-std::vector<int> refineAssignment(const std::vector<Vec2> &desired,
-                                  const std::vector<Vec2> &sites);
-
-/**
- * Like the two-argument overload, but switches to sparse candidate
- * arcs (k nearest sites plus item i's own site i) above
- * @p options.sparseThreshold (exact dense below). The own-site arc
- * makes the flow saturate for any input.
  */
 std::vector<int> refineAssignment(const std::vector<Vec2> &desired,
                                   const std::vector<Vec2> &sites,

@@ -38,7 +38,6 @@ Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
         plan = DiePlan::resolve(netlist.dieSpec(), netlist.region());
     auto fresh_grid = [&] {
         OccupancyGrid grid(netlist.region(), params_.cellUm);
-        grid.setProbeEngine(params_.probeEngine);
         if (multi)
             for (const Rect &band : plan.gapBands())
                 grid.block(band);

@@ -40,13 +40,6 @@ struct LegalizerParams
     /** Candidate sites per qubit on the sparse flow path. */
     int flowSparseNeighbors = 16;
 
-    /**
-     * Occupancy probe implementation (spiral + canPlace). Reference is
-     * the pre-bitset per-cell scan, kept for the equivalence suite and
-     * the legalize_scale speedup gate; results are bitwise-identical.
-     */
-    ProbeEngine probeEngine = ProbeEngine::Fast;
-
     /** Run the integration-aware repair pass. */
     bool integration = true;
 

@@ -5,7 +5,7 @@
  * Plan construction costs O(N) transcendental evaluations; the solver
  * grids that need them (one per bin-count in use) are few. The cache
  * hands out shared, immutable plans keyed by (length, plan kind) —
- * one DctPlan per length covers all four Dct kernels, since they
+ * one DctPlan per length covers all four DCT/DST kernels, since they
  * share the FFT tables and differ only in pre/post twiddles that the
  * plan also precomputes.
  *

@@ -48,9 +48,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: partition.wireWidthUm must be positive");
     check(partition.qubitPadUm >= 0.0 && partition.resonatorPadUm >= 0.0,
           "FlowParams: partition pads must be non-negative");
-    check(partition.buildSerialBelow >= 0,
-          "FlowParams: partition.buildSerialBelow must be non-negative "
-          "(0 = always parallel)");
     check(placer.targetDensity > 0.0 && placer.targetDensity <= 1.0,
           "FlowParams: placer.targetDensity must be in (0, 1]");
     check(placer.maxIters >= 1,

@@ -15,7 +15,6 @@ const char *const kKnownSetKeys[] = {
     "placer.threads",
     "assigner.distance2",
     "assigner.detuningThresholdGHz",
-    "builder.serialBelow",
     "legalizer.cellUm",
     "legalizer.flowRefine",
     "legalizer.flowSparseThreshold",
@@ -73,10 +72,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
         cfg.getDouble("assigner.detuningThresholdGHz",
                       ap.detuningThresholdHz / 1e9) *
         1e9;
-
-    PartitionParams &bp = params.partition;
-    bp.buildSerialBelow = static_cast<int>(
-        cfg.getInt("builder.serialBelow", bp.buildSerialBelow));
 
     LegalizerParams &lp = params.legalizer;
     lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);

@@ -2,14 +2,15 @@
  * @file
  * Field-only density engine vs. the full electrostatics reference.
  *
- * OraclePoisson and OracleDensity are the solver and density model as
- * they were before the potential was dropped: the solve synthesizes
- * psi as well as the field, the density model samples psi, xi_x and
- * xi_y in three walks and returns the energy sum_i q_i psi(x_i). They
- * run on the plan-free Dct::transform*Unplanned kernels. The production
- * PoissonSolver and DensityModel must reproduce the oracle's field maps,
- * gradient and overflow bit for bit, at every thread count against the
- * serial oracle, on placed devices and on degenerate layouts. The
+ * oracle::Poisson (tests/oracles/spectral) and OracleDensity are the
+ * solver and density model as they were before the potential was
+ * dropped: the solve synthesizes psi as well as the field, the density
+ * model samples psi, xi_x and xi_y in three walks and returns the
+ * energy sum_i q_i psi(x_i). They run on the plan-free row/column
+ * passes. The production PoissonSolver and DensityModel must reproduce
+ * the oracle's field maps, gradient and overflow bit for bit, at every
+ * thread count against the serial oracle, on placed devices and on
+ * degenerate layouts. The
  * potential and energy checks (Laplacian, field = -grad psi, energy
  * ordering, thread invariance) live here too, on the oracle, since
  * production no longer computes either quantity.
@@ -31,8 +32,8 @@
 #include "core/poisson.hpp"
 #include "core/wirelength.hpp"
 #include "freq/assigner.hpp"
-#include "math/dct.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/spectral.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/stage.hpp"
 #include "topology/factory.hpp"
@@ -41,110 +42,6 @@
 
 namespace qplacer {
 namespace {
-
-/** Spectral Poisson solve that also synthesizes the potential. */
-class OraclePoisson
-{
-  public:
-    struct Solution
-    {
-        std::vector<double> potential; ///< psi.
-        std::vector<double> fieldX;    ///< xi_x = -d(psi)/dx.
-        std::vector<double> fieldY;    ///< xi_y = -d(psi)/dy.
-    };
-
-    OraclePoisson(int nx, int ny, double width, double height,
-                  ThreadPool *pool)
-        : nx_(nx), ny_(ny), pool_(pool)
-    {
-        wu_.resize(nx);
-        wv_.resize(ny);
-        for (int u = 0; u < nx; ++u)
-            wu_[u] = std::numbers::pi * u / width;
-        for (int v = 0; v < ny; ++v)
-            wv_[v] = std::numbers::pi * v / height;
-    }
-
-    Solution solve(const std::vector<double> &density) const
-    {
-        const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
-        const auto rows = [&](std::vector<double> &map, Dct::Kind kind) {
-            Dct::transformRowsUnplanned(map, nx_, ny_, kind, pool_);
-        };
-        const auto cols = [&](std::vector<double> &map, Dct::Kind kind) {
-            Dct::transformColsUnplanned(map, nx_, ny_, kind, pool_);
-        };
-
-        // Forward 2-D DCT of the density -> eigenbasis coefficients.
-        std::vector<double> coeff = density;
-        rows(coeff, Dct::Kind::Dct2);
-        cols(coeff, Dct::Kind::Dct2);
-        const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i)
-                    coeff[i] *= norm;
-            },
-            ThreadPool::kGrainFine);
-
-        // Divide by the Laplacian eigenvalues; drop the DC term.
-        std::vector<double> psi_coeff(cells, 0.0);
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    const int u = static_cast<int>(i % nx_);
-                    const int v = static_cast<int>(i / nx_);
-                    if (u == 0 && v == 0)
-                        continue;
-                    const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
-                    psi_coeff[i] = coeff[i] / w2;
-                }
-            },
-            ThreadPool::kGrainFine);
-
-        Solution sol;
-
-        // Potential psi.
-        sol.potential = psi_coeff;
-        rows(sol.potential, Dct::Kind::CosSeries);
-        cols(sol.potential, Dct::Kind::CosSeries);
-
-        // Field xi_x: sine series in x of (w_u * psi_coeff).
-        sol.fieldX.assign(cells, 0.0);
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i)
-                    sol.fieldX[i] = wu_[i % nx_] * psi_coeff[i];
-            },
-            ThreadPool::kGrainFine);
-        rows(sol.fieldX, Dct::Kind::SinSeries);
-        cols(sol.fieldX, Dct::Kind::CosSeries);
-
-        // Field xi_y: sine series in y of (w_v * psi_coeff).
-        sol.fieldY.assign(cells, 0.0);
-        parallelFor(
-            pool_, cells,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i)
-                    sol.fieldY[i] = wv_[i / nx_] * psi_coeff[i];
-            },
-            ThreadPool::kGrainFine);
-        rows(sol.fieldY, Dct::Kind::CosSeries);
-        cols(sol.fieldY, Dct::Kind::SinSeries);
-
-        return sol;
-    }
-
-  private:
-    int nx_;
-    int ny_;
-    ThreadPool *pool_;
-    std::vector<double> wu_;
-    std::vector<double> wv_;
-};
 
 /** @p r shifted into @p g's region, clipped if larger than it. */
 Rect
@@ -232,7 +129,7 @@ class OracleDensity
         for (double &rho : density)
             rho *= inv_bin_area;
 
-        const OraclePoisson::Solution sol = solver_.solve(density);
+        const oracle::Poisson::Solution sol = solver_.solve(density);
 
         double energy = 0.0;
         for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -252,7 +149,7 @@ class OracleDensity
   private:
     const Netlist &netlist_;
     BinGrid grid_;
-    OraclePoisson solver_;
+    oracle::Poisson solver_;
     double targetDensity_;
     double overflow_ = 1.0;
 };
@@ -405,26 +302,24 @@ TEST(DensityOracle, SolveMatchesOracleBitwise)
                          std::to_string(shape.ny) +
                          " threads=" + std::to_string(threads));
             const auto pool = poolFor(threads);
-            const OraclePoisson oracle(shape.nx, shape.ny, 1000.0, 800.0,
-                                       pool.get());
-            const OraclePoisson::Solution want = oracle.solve(density);
-            for (const auto path : {PoissonSolver::Path::Planned,
-                                    PoissonSolver::Path::Unplanned}) {
-                PoissonSolver solver(shape.nx, shape.ny, 1000.0, 800.0,
-                                     pool.get(), path);
-                // A solve on other data first: the solver-owned buffers
-                // must carry nothing over.
-                solver.solve(other);
-                const PoissonSolver::Solution &got = solver.solve(density);
-                EXPECT_TRUE(sameBits(got.fieldX, want.fieldX));
-                EXPECT_TRUE(sameBits(got.fieldY, want.fieldY));
+            const oracle::Poisson reference(shape.nx, shape.ny, 1000.0,
+                                            800.0, pool.get());
+            const oracle::Poisson::Solution want =
+                reference.solve(density);
+            PoissonSolver solver(shape.nx, shape.ny, 1000.0, 800.0,
+                                 pool.get());
+            // A solve on other data first: the solver-owned buffers
+            // must carry nothing over.
+            solver.solve(other);
+            const PoissonSolver::Solution &got = solver.solve(density);
+            EXPECT_TRUE(sameBits(got.fieldX, want.fieldX));
+            EXPECT_TRUE(sameBits(got.fieldY, want.fieldY));
 
-                // The in-place entry point sees the same input.
-                solver.input() = density;
-                const PoissonSolver::Solution &again = solver.solve();
-                EXPECT_TRUE(sameBits(again.fieldX, want.fieldX));
-                EXPECT_TRUE(sameBits(again.fieldY, want.fieldY));
-            }
+            // The in-place entry point sees the same input.
+            solver.input() = density;
+            const PoissonSolver::Solution &again = solver.solve();
+            EXPECT_TRUE(sameBits(again.fieldX, want.fieldX));
+            EXPECT_TRUE(sameBits(again.fieldY, want.fieldY));
             // The reference kernels are thread-count invariant, so the
             // potential is too.
             if (threads == 1)
@@ -510,7 +405,8 @@ TEST(Poisson, UniformDensityGivesZeroField)
         EXPECT_NEAR(v, 0.0, 1e-9);
     for (double v : sol.fieldY)
         EXPECT_NEAR(v, 0.0, 1e-9);
-    const auto ref = OraclePoisson(32, 32, 1000, 1000, nullptr).solve(rho);
+    const auto ref =
+        oracle::Poisson(32, 32, 1000, 1000, nullptr).solve(rho);
     for (double v : ref.potential)
         EXPECT_NEAR(v, 0.0, 1e-9);
 }
@@ -520,7 +416,7 @@ TEST(Poisson, SolutionSatisfiesDiscreteLaplacian)
     // Verify -laplacian(psi) ~ rho - mean(rho) for a smooth density.
     const int n = 64;
     const double size = 1000.0;
-    const OraclePoisson solver(n, n, size, size, nullptr);
+    const oracle::Poisson solver(n, n, size, size, nullptr);
     std::vector<double> rho(n * n);
     const double h = size / n;
     for (int y = 0; y < n; ++y) {
@@ -563,7 +459,7 @@ TEST(Poisson, FieldIsNegativeGradientOfPotential)
         for (int x = 28; x < 36; ++x)
             rho[y * n + x] = 1.0;
     const auto &sol = solver.solve(rho);
-    const auto ref = OraclePoisson(n, n, size, size, nullptr).solve(rho);
+    const auto ref = oracle::Poisson(n, n, size, size, nullptr).solve(rho);
 
     const double h = size / n;
     double max_err = 0.0;
@@ -585,7 +481,7 @@ TEST(Poisson, FieldIsNegativeGradientOfPotential)
 TEST(Poisson, PotentialHighestAtCharge)
 {
     const int n = 32;
-    const OraclePoisson solver(n, n, 1000, 1000, nullptr);
+    const oracle::Poisson solver(n, n, 1000, 1000, nullptr);
     std::vector<double> rho(n * n, 0.0);
     rho[(n / 2) * n + n / 2] = 1.0;
     const auto sol = solver.solve(rho);

@@ -15,13 +15,15 @@
 #include "core/placer.hpp"
 #include "core/poisson.hpp"
 #include "freq/assigner.hpp"
-#include "math/dct.hpp"
 #include "netlist/builder.hpp"
+#include "oracles/spectral.hpp"
 #include "topology/generators.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
+
+using oracle::Dct;
 
 /** Reproducible pseudo-random map without <random> overhead. */
 std::vector<double>

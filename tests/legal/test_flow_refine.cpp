@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "legal/flow_refine.hpp"
@@ -7,6 +8,9 @@
 
 namespace qplacer {
 namespace {
+
+/** No size reaches the sparse threshold: always the exact dense solve. */
+const FlowRefineOptions kExact{std::numeric_limits<int>::max(), 16};
 
 double
 totalCost(const std::vector<Vec2> &desired, const std::vector<Vec2> &sites,
@@ -21,7 +25,7 @@ totalCost(const std::vector<Vec2> &desired, const std::vector<Vec2> &sites,
 TEST(FlowRefine, IdentityWhenAlreadyOptimal)
 {
     const std::vector<Vec2> desired{{0, 0}, {100, 0}, {200, 0}};
-    const auto assign = refineAssignment(desired, desired);
+    const auto assign = refineAssignment(desired, desired, kExact);
     for (std::size_t i = 0; i < desired.size(); ++i)
         EXPECT_EQ(assign[i], static_cast<int>(i));
 }
@@ -30,7 +34,7 @@ TEST(FlowRefine, FixesSwappedAssignment)
 {
     const std::vector<Vec2> desired{{0, 0}, {1000, 0}};
     const std::vector<Vec2> sites{{1000, 0}, {0, 0}};
-    const auto assign = refineAssignment(desired, sites);
+    const auto assign = refineAssignment(desired, sites, kExact);
     EXPECT_EQ(assign[0], 1);
     EXPECT_EQ(assign[1], 0);
 }
@@ -44,7 +48,7 @@ TEST(FlowRefine, ResultIsAPermutation)
         desired.emplace_back(rng.uniform(0, 5000), rng.uniform(0, 5000));
         sites.emplace_back(rng.uniform(0, 5000), rng.uniform(0, 5000));
     }
-    const auto assign = refineAssignment(desired, sites);
+    const auto assign = refineAssignment(desired, sites, kExact);
     std::set<int> unique(assign.begin(), assign.end());
     EXPECT_EQ(unique.size(), 20u);
 }
@@ -58,7 +62,7 @@ TEST(FlowRefine, BeatsRandomAssignments)
         desired.emplace_back(rng.uniform(0, 3000), rng.uniform(0, 3000));
         sites.emplace_back(rng.uniform(0, 3000), rng.uniform(0, 3000));
     }
-    const auto optimal = refineAssignment(desired, sites);
+    const auto optimal = refineAssignment(desired, sites, kExact);
     const double best = totalCost(desired, sites, optimal);
     std::vector<int> perm(12);
     for (int i = 0; i < 12; ++i)
@@ -87,7 +91,7 @@ TEST(FlowRefine, SparsePathIsAValidNearOptimalPermutation)
     EXPECT_EQ(unique.size(), 40u);
 
     // Restricted candidates can never beat the exact dense optimum.
-    const auto dense = refineAssignment(desired, sites);
+    const auto dense = refineAssignment(desired, sites, kExact);
     EXPECT_GE(totalCost(desired, sites, sparse) + 1e-9,
               totalCost(desired, sites, dense));
 
@@ -115,12 +119,13 @@ TEST(FlowRefine, SparseIdentityStaysZeroCost)
 
 TEST(FlowRefine, EmptyInput)
 {
-    EXPECT_TRUE(refineAssignment({}, {}).empty());
+    EXPECT_TRUE(refineAssignment({}, {}, kExact).empty());
 }
 
 TEST(FlowRefine, SizeMismatchPanics)
 {
-    EXPECT_THROW(refineAssignment({{0, 0}}, {}), std::logic_error);
+    EXPECT_THROW(refineAssignment({{0, 0}}, {}, kExact),
+                 std::logic_error);
 }
 
 } // namespace

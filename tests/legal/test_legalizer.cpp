@@ -79,6 +79,58 @@ TEST(Legalizer, ProducesLegalLayout)
     EXPECT_TRUE(Legalizer::isLegal(nl));
 }
 
+TEST(Legalizer, FullPassLegalizesTheWarmStart)
+{
+    // The whole legalization stack (spiral + flow refine + Tetris +
+    // integration) straight from the builder's warm start, where the
+    // segment chains pile up on the coupler lines.
+    const Topology topo = makeGrid(8, 8);
+    const auto freqs = FrequencyAssigner().assign(topo);
+    Netlist nl = NetlistBuilder().build(topo, freqs);
+    const Rect sized = nl.region();
+
+    const LegalizeResult result = Legalizer().legalize(nl);
+    EXPECT_TRUE(result.legal);
+    EXPECT_TRUE(Legalizer::isLegal(nl));
+    EXPECT_EQ(nl.region().lo, sized.lo);
+    EXPECT_EQ(nl.region().hi, sized.hi);
+}
+
+TEST(Legalizer, ScopedPassDemotesAStaleFixedQubit)
+{
+    // The scoped pass with fixed obstacles: start from a legal layout,
+    // hold every even instance fixed, jitter the odd ones, and leave
+    // one fixed qubit on a stale site overlapping another fixed qubit,
+    // so the demotion restart runs.
+    const Topology topo = makeGrid(6, 6);
+    const auto freqs = FrequencyAssigner().assign(topo);
+    Netlist built = NetlistBuilder().build(topo, freqs);
+    Legalizer().legalize(built);
+    ASSERT_TRUE(Legalizer::isLegal(built));
+
+    Rng rng(2024);
+    std::vector<int> movable;
+    for (int i = 1; i < built.numInstances(); i += 2) {
+        movable.push_back(i);
+        Vec2 &pos = built.instance(i).pos;
+        pos.x += rng.uniform(-600.0, 600.0);
+        pos.y += rng.uniform(-600.0, 600.0);
+    }
+    const Vec2 fixed_a = built.instance(0).pos;
+    built.instance(2).pos = Vec2(fixed_a.x + 100.0, fixed_a.y);
+    ASSERT_FALSE(Legalizer::isLegal(built));
+
+    Netlist nl = built;
+    const LegalizeResult result = Legalizer().legalizeScoped(nl, movable);
+    EXPECT_TRUE(result.legal);
+    EXPECT_FALSE(result.cancelled);
+    EXPECT_TRUE(Legalizer::isLegal(nl));
+    EXPECT_FALSE(nl.instance(2).pos == built.instance(2).pos)
+        << "the stale fixed qubit was not demoted";
+    EXPECT_EQ(nl.region().lo, built.region().lo);
+    EXPECT_EQ(nl.region().hi, built.region().hi);
+}
+
 TEST(Legalizer, AllInstancesOnCellLattice)
 {
     Netlist nl = placedNetlist(3, 3);

@@ -2,10 +2,10 @@
  * @file
  * Plan-equivalence suite: the precomputed DctPlan/FftPlan execution
  * path must be *bitwise*-identical (memcmp, not just EXPECT_DOUBLE_EQ)
- * to the plan-free reference kernels, over random inputs at every
- * power-of-two length from 2 to 1024 and across thread counts. This is
- * the contract that lets the Poisson solver switch to plans without
- * perturbing a single placement.
+ * to the plan-free kernels of tests/oracles/spectral, over random
+ * inputs at every power-of-two length from 2 to 1024 and across thread
+ * counts. This is the contract that lets the Poisson solver run on
+ * plans without perturbing a single placement.
  */
 
 #include <gtest/gtest.h>
@@ -15,16 +15,18 @@
 #include <vector>
 
 #include "core/poisson.hpp"
-#include "math/dct.hpp"
 #include "math/dct_plan.hpp"
-#include "math/fft.hpp"
 #include "math/fft_plan.hpp"
 #include "math/plan_cache.hpp"
+#include "oracles/spectral.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qplacer {
 namespace {
+
+using oracle::Dct;
+using oracle::Fft;
 
 std::vector<double>
 randomVector(std::size_t n, std::uint64_t seed)
@@ -68,21 +70,21 @@ TEST_P(PlanSizes, FftPlanMatchesFftBitwise)
     const std::size_t n = GetParam();
     const auto re = randomVector(n, 100 + n);
     const auto im = randomVector(n, 200 + n);
-    std::vector<Fft::Complex> reference(n);
+    std::vector<Complex> reference(n);
     for (std::size_t i = 0; i < n; ++i)
-        reference[i] = Fft::Complex(re[i], im[i]);
-    std::vector<Fft::Complex> planned = reference;
+        reference[i] = Complex(re[i], im[i]);
+    std::vector<Complex> planned = reference;
 
     const FftPlan plan(n);
     Fft::forward(reference);
     plan.forward(planned.data());
     ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Fft::Complex)));
+                             n * sizeof(Complex)));
 
     Fft::inverse(reference);
     plan.inverse(planned.data());
     ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Fft::Complex)));
+                             n * sizeof(Complex)));
 }
 
 TEST_P(PlanSizes, ApplyMatchesDctKernelsBitwise)
@@ -182,12 +184,10 @@ TEST_P(PlanThreads, PoissonSolveMatchesUnplannedBitwise)
     const int n = 128; // Above kGrainCoarse so the pool engages.
     const auto density =
         randomVector(static_cast<std::size_t>(n) * n, 700);
-    const PoissonSolver planned(n, n, 4000.0, 4000.0, pool(),
-                                PoissonSolver::Path::Planned);
-    const PoissonSolver unplanned(n, n, 4000.0, 4000.0, pool(),
-                                  PoissonSolver::Path::Unplanned);
-    const PoissonSolver::Solution a = planned.solve(density);
-    const PoissonSolver::Solution b = unplanned.solve(density);
+    const PoissonSolver planned(n, n, 4000.0, 4000.0, pool());
+    const oracle::Poisson unplanned(n, n, 4000.0, 4000.0, pool());
+    const PoissonSolver::Solution &a = planned.solve(density);
+    const oracle::Poisson::Solution b = unplanned.solve(density);
     EXPECT_TRUE(bitwiseEqual(a.fieldX, b.fieldX));
     EXPECT_TRUE(bitwiseEqual(a.fieldY, b.fieldY));
 }

@@ -1,28 +1,80 @@
-#include "math/dct.hpp"
+#include "oracles/spectral.hpp"
 
 #include <cmath>
 #include <numbers>
 
-#include "math/fft.hpp"
 #include "math/plan_cache.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
-namespace qplacer {
+namespace qplacer::oracle {
 
 namespace {
-
-using Complex = Fft::Complex;
 
 constexpr double kPi = std::numbers::pi;
 
 } // namespace
 
+void
+Fft::transform(std::vector<Complex> &data, bool invert)
+{
+    const std::size_t n = data.size();
+    if (!isPowerOfTwo(n))
+        panic(str("Fft: length ", n, " is not a power of two"));
+    if (n == 1)
+        return;
+
+    // Bit-reversal permutation.
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            std::swap(data[i], data[j]);
+    }
+
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const double ang =
+            2.0 * kPi / static_cast<double>(len) *
+            (invert ? 1.0 : -1.0);
+        const Complex wlen(std::cos(ang), std::sin(ang));
+        for (std::size_t i = 0; i < n; i += len) {
+            Complex w(1.0, 0.0);
+            for (std::size_t k = 0; k < len / 2; ++k) {
+                const Complex u = data[i + k];
+                const Complex v = data[i + k + len / 2] * w;
+                data[i + k] = u + v;
+                data[i + k + len / 2] = u - v;
+                w *= wlen;
+            }
+        }
+    }
+
+    if (invert) {
+        const double inv_n = 1.0 / static_cast<double>(n);
+        for (auto &x : data)
+            x *= inv_n;
+    }
+}
+
+void
+Fft::forward(std::vector<Complex> &data)
+{
+    transform(data, false);
+}
+
+void
+Fft::inverse(std::vector<Complex> &data)
+{
+    transform(data, true);
+}
+
 std::vector<double>
 Dct::dct2(const std::vector<double> &x)
 {
     const std::size_t n = x.size();
-    if (!Fft::isPowerOfTwo(n))
+    if (!isPowerOfTwo(n))
         panic(str("Dct::dct2: length ", n, " is not a power of two"));
 
     // Makhoul reordering: even samples ascending, odd samples descending.
@@ -49,7 +101,7 @@ std::vector<double>
 Dct::idct2(const std::vector<double> &X)
 {
     const std::size_t n = X.size();
-    if (!Fft::isPowerOfTwo(n))
+    if (!isPowerOfTwo(n))
         panic(str("Dct::idct2: length ", n, " is not a power of two"));
 
     // Reconstruct the complex spectrum P[k] = X[k] - i*X[n-k]
@@ -234,4 +286,90 @@ Dct::sinSeriesDirect(const std::vector<double> &c)
     return out;
 }
 
-} // namespace qplacer
+Poisson::Poisson(int nx, int ny, double width, double height,
+                 ThreadPool *pool)
+    : nx_(nx), ny_(ny), pool_(pool)
+{
+    wu_.resize(nx);
+    wv_.resize(ny);
+    for (int u = 0; u < nx; ++u)
+        wu_[u] = kPi * u / width;
+    for (int v = 0; v < ny; ++v)
+        wv_[v] = kPi * v / height;
+}
+
+Poisson::Solution
+Poisson::solve(const std::vector<double> &density) const
+{
+    const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
+    const auto rows = [&](std::vector<double> &map, Dct::Kind kind) {
+        Dct::transformRowsUnplanned(map, nx_, ny_, kind, pool_);
+    };
+    const auto cols = [&](std::vector<double> &map, Dct::Kind kind) {
+        Dct::transformColsUnplanned(map, nx_, ny_, kind, pool_);
+    };
+
+    // Forward 2-D DCT of the density -> eigenbasis coefficients.
+    std::vector<double> coeff = density;
+    rows(coeff, Dct::Kind::Dct2);
+    cols(coeff, Dct::Kind::Dct2);
+    const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
+    parallelFor(
+        pool_, cells,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                coeff[i] *= norm;
+        },
+        ThreadPool::kGrainFine);
+
+    // Divide by the Laplacian eigenvalues; drop the DC term.
+    std::vector<double> psi_coeff(cells, 0.0);
+    parallelFor(
+        pool_, cells,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                const int u = static_cast<int>(i % nx_);
+                const int v = static_cast<int>(i / nx_);
+                if (u == 0 && v == 0)
+                    continue;
+                const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
+                psi_coeff[i] = coeff[i] / w2;
+            }
+        },
+        ThreadPool::kGrainFine);
+
+    Solution sol;
+
+    // Potential psi.
+    sol.potential = psi_coeff;
+    rows(sol.potential, Dct::Kind::CosSeries);
+    cols(sol.potential, Dct::Kind::CosSeries);
+
+    // Field xi_x: sine series in x of (w_u * psi_coeff).
+    sol.fieldX.assign(cells, 0.0);
+    parallelFor(
+        pool_, cells,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                sol.fieldX[i] = wu_[i % nx_] * psi_coeff[i];
+        },
+        ThreadPool::kGrainFine);
+    rows(sol.fieldX, Dct::Kind::SinSeries);
+    cols(sol.fieldX, Dct::Kind::CosSeries);
+
+    // Field xi_y: sine series in y of (w_v * psi_coeff).
+    sol.fieldY.assign(cells, 0.0);
+    parallelFor(
+        pool_, cells,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                sol.fieldY[i] = wv_[i / nx_] * psi_coeff[i];
+        },
+        ThreadPool::kGrainFine);
+    rows(sol.fieldY, Dct::Kind::CosSeries);
+    cols(sol.fieldY, Dct::Kind::SinSeries);
+
+    return sol;
+}
+
+} // namespace qplacer::oracle
