@@ -61,7 +61,7 @@ main()
         FlowParams params;
         params.placer.seed = bench::placementSeed();
         params.placer.freqForce = v.freqForce;
-        params.legalizer.integrationParams.resonanceCheck = v.tauLegal;
+        params.legalizer.resonanceCheck = v.tauLegal;
         params.assigner.distance2 = v.distance2;
         params.legalizer.flowRefine = v.flowRefine;
 

@@ -118,8 +118,8 @@ FreqForceModel::evaluate(const std::vector<Vec2> &positions,
                             ((b.index > self) | (b.index < lo)) &
                             (std::abs(positions[i].x - b.pos.x) < radius) &
                             (std::abs(positions[i].y - b.pos.y) < radius) &
-                            isResonant(freq_[i], b.freq, thresholdHz_) &
-                            !(group_[i] >= 0 && group_[i] == b.group);
+                            mayCollide(freq_[i], group_[i], b.freq,
+                                       b.group, thresholdHz_);
                         candidates[count] = b.index;
                         count += keep;
                     }

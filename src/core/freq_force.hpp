@@ -2,12 +2,13 @@
  * @file
  * Frequency repulsive force F(i, j; x, y) (Eq. 9/10).
  *
- * Near-resonant instance pairs (same-resonator pairs excluded) repel
- * each other with a truncated Coulomb 1/r potential, so minimizing the
- * penalty drives them apart spatially. Only pairs closer than the
- * cutoff radius feel a force, so each evaluation finds its pairs with
- * a uniform cell list over the placement region instead of walking
- * every near-resonant pair.
+ * Instance pairs that may collide (mayCollide() in freq/spectrum.hpp:
+ * near-resonant, same-resonator pairs excluded) repel each other with
+ * a truncated Coulomb 1/r potential, so minimizing the penalty drives
+ * them apart spatially. Only pairs closer than the cutoff radius feel
+ * a force, so each evaluation finds its pairs with a uniform cell list
+ * over the placement region instead of walking every near-resonant
+ * pair.
  */
 
 #ifndef QPLACER_CORE_FREQ_FORCE_HPP
@@ -28,8 +29,8 @@ class ThreadPool;
  *
  * Every evaluate() bins the instances into a CellList with cells at
  * least as wide as the largest cutoff radius, so every pair in range
- * sits in the same or an adjacent cell. The resonance and
- * same-resonator tests run only on those 3x3-neighbourhood candidates,
+ * sits in the same or an adjacent cell. The collision rule
+ * (mayCollide) runs only on those 3x3-neighbourhood candidates,
  * read from a cell-ordered copy of the inputs, which makes an
  * evaluation O(n) for a spread-out layout instead of O(near-resonant
  * pairs).
@@ -43,7 +44,7 @@ class FreqForceModel
      *                      Frequencies, resonator groups and footprints
      *                      are read once, here.
      * @param threshold_hz  Detuning threshold Delta_c; a pair interacts
-     *                      when isResonant() holds for its frequencies.
+     *                      when mayCollide() holds for it.
      * @param cutoff_factor Pairs further apart than
      *                      cutoff_factor * (size_i + size_j) feel no
      *                      force; this truncation keeps the repulsion a

@@ -12,9 +12,8 @@ bool
 isHotspotPair(const Instance &a, const Instance &b,
               const HotspotParams &params, double &gapUm)
 {
-    if (a.resonator >= 0 && a.resonator == b.resonator)
-        return false; // same physical resonator
-    if (!isResonant(a.freqHz, b.freqHz, params.detuningThresholdHz))
+    if (!mayCollide(a.freqHz, a.resonator, b.freqHz, b.resonator,
+                    params.detuningThresholdHz))
         return false;
     gapUm = a.paddedRect().gap(b.paddedRect());
     return gapUm <= params.adjacencyTolUm;

@@ -226,26 +226,4 @@ FrequencyAssigner::assign(const Topology &topo, AssignStats *stats) const
     return out;
 }
 
-int
-FrequencyAssigner::countDomainViolations(
-    const Topology &topo, const FrequencyAssignment &assignment) const
-{
-    int violations = 0;
-    for (const auto &[u, v] : topo.coupling.edges()) {
-        if (isResonant(assignment.qubitFreqHz[u], assignment.qubitFreqHz[v],
-                       params_.detuningThresholdHz)) {
-            ++violations;
-        }
-    }
-    const Graph shares = resonatorShareGraph(topo.coupling);
-    for (const auto &[a, b] : shares.edges()) {
-        if (isResonant(assignment.resonatorFreqHz[a],
-                       assignment.resonatorFreqHz[b],
-                       params_.detuningThresholdHz)) {
-            ++violations;
-        }
-    }
-    return violations;
-}
-
 } // namespace qplacer

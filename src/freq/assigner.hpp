@@ -95,14 +95,6 @@ class FrequencyAssigner
      */
     static std::vector<int> dsatur(const Graph &graph);
 
-    /**
-     * Verify that no *coupled* pair of qubits (and no two resonators
-     * sharing a qubit, i.e. no edge of the resonator share graph) is
-     * resonant under @p assignment. Returns the number of violations.
-     */
-    int countDomainViolations(const Topology &topo,
-                              const FrequencyAssignment &assignment) const;
-
   private:
     /**
      * Map colours to slot frequencies. When the colour count exceeds

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "freq/spectrum.hpp"
 #include "util/logging.hpp"
 
 namespace qplacer {
@@ -34,8 +35,9 @@ CollisionMap::CollisionMap(const std::vector<double> &freqs_hz,
         }
         for (std::size_t m = window_start; m < k; ++m) {
             const std::int32_t j = order[m];
-            if (group[i] >= 0 && group[i] == group[j])
-                continue; // same resonator: excluded by (1 - delta)
+            if (!mayCollide(freqs_hz[i], group[i], freqs_hz[j], group[j],
+                            threshold_hz))
+                continue;
             lists_[i].push_back(j);
             lists_[j].push_back(i);
             ++numPairs_;

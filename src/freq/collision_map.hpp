@@ -2,14 +2,14 @@
  * @file
  * Frequency collision map (Section IV-C1).
  *
- * Each instance gets the list of instances it may crosstalk with: those
- * within the detuning threshold, excluding segments of the same
- * resonator (the Kronecker-delta term of Eq. 10). This is the reference
- * enumeration of near-resonant pairs, used by tests (the frequency-
- * force oracle) and for the benchmark's pair counts. The placement
- * engine does not build it: its O(pairs) lists grow quadratically with
- * device size, so the frequency force finds its pairs through a cell
- * list instead (core/freq_force).
+ * Each instance gets the list of instances it may crosstalk with: the
+ * partners for which mayCollide() (freq/spectrum.hpp) holds, i.e.
+ * near-resonant and not a segment of the same resonator. This is the
+ * reference enumeration of near-resonant pairs, used by tests (the
+ * frequency-force oracle) and for the benchmark's pair counts. The
+ * placement engine does not build it: its O(pairs) lists grow
+ * quadratically with device size, so the frequency force finds its
+ * pairs through a cell list instead (core/freq_force).
  */
 
 #ifndef QPLACER_FREQ_COLLISION_MAP_HPP
@@ -30,7 +30,7 @@ class CollisionMap
      * Build the map.
      * @param freqs_hz Frequency per instance.
      * @param group    Resonator id per instance (-1 for qubits);
-     *                 same-group pairs are excluded.
+     *                 same-group pairs are excluded by mayCollide().
      * @param threshold_hz Detuning threshold Delta_c.
      */
     CollisionMap(const std::vector<double> &freqs_hz,

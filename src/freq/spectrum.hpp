@@ -65,6 +65,26 @@ isResonant(double f1_hz, double f2_hz,
     return std::abs(f1_hz - f2_hz) < threshold_hz;
 }
 
+/**
+ * The one frequency-collision rule (Eq. 10): two components may
+ * collide when they are resonant and are not segments of one resonator
+ * (the Kronecker-delta term). @p group_a / @p group_b are resonator ids,
+ * -1 for qubits, so two qubits are never excluded. The force, the
+ * collision map, the hotspot analyzer and the legalizer's tau probe all
+ * decide collisions through this predicate.
+ *
+ * The resonance test joins with `&`, not `&&`, so the force kernel's
+ * candidate loop evaluates it without a branch: whether a spatial
+ * neighbour is resonant is data-dependent and mispredicts often.
+ */
+inline bool
+mayCollide(double f_a_hz, int group_a, double f_b_hz, int group_b,
+           double threshold_hz = kDetuningThresholdHz)
+{
+    return isResonant(f_a_hz, f_b_hz, threshold_hz) &
+           !(group_a >= 0 && group_a == group_b);
+}
+
 } // namespace qplacer
 
 #endif // QPLACER_FREQ_SPECTRUM_HPP

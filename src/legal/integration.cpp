@@ -9,15 +9,51 @@
 
 namespace qplacer {
 
-IntegrationLegalizer::IntegrationLegalizer(IntegrationParams params)
-    : params_(params)
+namespace {
+
+/**
+ * Max gap (um) between padded rects that counts as adjacent for
+ * cluster connectivity. Covers one occupancy cell plus diagonal corner
+ * gaps, so snapped layouts cluster robustly.
+ */
+constexpr double kAdjacencyTolUm = 150.0;
+
+/** Move/swap repair passes over all resonators. */
+constexpr int kMaxRounds = 8;
+
+/** True if two instances' padded rects are within kAdjacencyTolUm. */
+bool
+adjacent(const Instance &a, const Instance &b)
 {
+    return a.paddedRect().gap(b.paddedRect()) <= kAdjacencyTolUm;
 }
 
+} // namespace
+
 bool
-IntegrationLegalizer::adjacent(const Instance &a, const Instance &b) const
+tauClean(const Netlist &netlist, const OccupancyGrid &grid,
+         const HotspotParams &rule, const Instance &inst, Vec2 center,
+         std::vector<std::int32_t> &scratch, int ignore_a, int ignore_b)
 {
-    return a.paddedRect().gap(b.paddedRect()) <= params_.adjacencyTolUm;
+    const Rect probe =
+        Rect::fromCenter(center, inst.paddedWidth(), inst.paddedHeight())
+            .inflated(rule.adjacencyTolUm);
+    grid.ownersIn(probe, scratch);
+    for (std::int32_t other : scratch) {
+        if (other == inst.id || other == ignore_a || other == ignore_b)
+            continue;
+        const Instance &o = netlist.instance(other);
+        if (mayCollide(inst.freqHz, inst.resonator, o.freqHz, o.resonator,
+                       rule.detuningThresholdHz))
+            return false;
+    }
+    return true;
+}
+
+IntegrationLegalizer::IntegrationLegalizer(HotspotParams rule,
+                                           bool resonanceCheck)
+    : rule_(rule), resonanceCheck_(resonanceCheck)
+{
 }
 
 std::vector<std::vector<int>>
@@ -66,32 +102,6 @@ IntegrationLegalizer::integrationLegal(const Netlist &netlist,
     return true;
 }
 
-bool
-IntegrationLegalizer::resonanceOk(const Netlist &netlist,
-                                  const OccupancyGrid &grid,
-                                  const Instance &inst, Vec2 pos,
-                                  int ignore_a, int ignore_b) const
-{
-    if (!params_.resonanceCheck)
-        return true;
-    const Rect probe =
-        Rect::fromCenter(pos, inst.paddedWidth(), inst.paddedHeight())
-            .inflated(params_.probeTolUm);
-    grid.ownersIn(probe, ownerScratch_);
-    for (std::int32_t other : ownerScratch_) {
-        if (other == inst.id || other == ignore_a || other == ignore_b)
-            continue;
-        const Instance &o = netlist.instance(other);
-        if (inst.resonator >= 0 && o.resonator == inst.resonator)
-            continue;
-        if (isResonant(inst.freqHz, o.freqHz,
-                       params_.detuningThresholdHz)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 IntegrationLegalizer::Result
 IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                           const std::vector<int> &targets) const
@@ -107,7 +117,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     const double cell = grid.cellUm();
 
-    for (int round = 0; round < params_.maxRounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         bool progress = false;
         for (int r : targets) {
             auto cls = clusters(netlist, r);
@@ -154,8 +164,9 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 Rect::fromCenter(snapped, w, h);
                             if (!grid.canPlaceIgnoring(rect, seg_id))
                                 continue;
-                            if (!resonanceOk(netlist, grid, seg, snapped,
-                                             -1, -1))
+                            if (resonanceCheck_ &&
+                                !tauClean(netlist, grid, rule_, seg,
+                                          snapped, ownerScratch_))
                                 continue;
                             grid.release(
                                 Rect::fromCenter(seg.pos, w, h), seg_id);
@@ -179,7 +190,7 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                         const Instance &m = netlist.instance(member);
                         const Rect frontier =
                             m.paddedRect().inflated(
-                                params_.adjacencyTolUm + cell);
+                                kAdjacencyTolUm + cell);
                         for (std::int32_t cand_id :
                              grid.ownersIn(frontier)) {
                             if (cand_id == seg_id || cand_id == member)
@@ -193,10 +204,13 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
                                 cand.height != seg.height)
                                 continue;
                             // tau checks at both destinations.
-                            if (!resonanceOk(netlist, grid, seg, cand.pos,
-                                             cand_id, -1) ||
-                                !resonanceOk(netlist, grid, cand, seg.pos,
-                                             seg_id, -1)) {
+                            if (resonanceCheck_ &&
+                                (!tauClean(netlist, grid, rule_, seg,
+                                           cand.pos, ownerScratch_,
+                                           cand_id) ||
+                                 !tauClean(netlist, grid, rule_, cand,
+                                           seg.pos, ownerScratch_,
+                                           seg_id))) {
                                 continue;
                             }
                             // Swap must not break the partner's own
@@ -238,11 +252,9 @@ IntegrationLegalizer::run(Netlist &netlist, OccupancyGrid &grid,
 
     // Final repair: rip up and contiguously re-place any resonator the
     // local moves/swaps could not fix.
-    if (params_.chainReplace) {
-        for (int r : targets) {
-            if (!integrationLegal(netlist, r))
-                replaceChain(netlist, grid, r);
-        }
+    for (int r : targets) {
+        if (!integrationLegal(netlist, r))
+            replaceChain(netlist, grid, r);
     }
 
     for (int r : targets) {
@@ -287,10 +299,12 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
                 return true;
             const Rect a = Rect::fromCenter(center, w, h);
             const Rect b = Rect::fromCenter(prev, w, h);
-            return a.gap(b) <= params_.adjacencyTolUm;
+            return a.gap(b) <= kAdjacencyTolUm;
         };
         auto tau_ok = [&](Vec2 center) {
-            return resonanceOk(netlist, grid, seg, center, -1, -1);
+            return !resonanceCheck_ ||
+                   tauClean(netlist, grid, rule_, seg, center,
+                            ownerScratch_);
         };
         const int radius =
             static_cast<int>(12.0 * w / grid.cellUm());
@@ -300,7 +314,7 @@ IntegrationLegalizer::replaceChain(Netlist &netlist, OccupancyGrid &grid,
         std::optional<Vec2> spot = spiralSearchFiltered(
             grid, prev, w, h,
             [&](Vec2 c) { return near_prev(c) && tau_ok(c); }, radius);
-        if (!spot && params_.resonanceCheck)
+        if (!spot && resonanceCheck_)
             spot = spiralSearchFiltered(grid, prev, w, h, tau_ok, radius);
         if (!spot)
             spot = spiralSearch(grid, prev, w, h);

@@ -16,50 +16,38 @@
 
 #include <vector>
 
+#include "eval/hotspot.hpp"
 #include "legal/occupancy.hpp"
 #include "netlist/netlist.hpp"
 
 namespace qplacer {
 
-/** Knobs of the integration legalizer. */
-struct IntegrationParams
-{
-    /**
-     * Max gap (um) between padded rects that counts as adjacent for
-     * cluster connectivity. Covers one occupancy cell plus diagonal
-     * corner gaps, so snapped layouts cluster robustly.
-     */
-    double adjacencyTolUm = 150.0;
-
-    /**
-     * Probe inflation (um) for the tau resonance check; matches the
-     * hotspot analyzer's adjacency threshold so the legalizer guards
-     * exactly the pairs the metric would flag.
-     */
-    double probeTolUm = 50.0;
-
-    /** Validate moves/swaps against the resonance checker tau. */
-    bool resonanceCheck = true;
-
-    /** Detuning threshold for tau. */
-    double detuningThresholdHz = 0.1e9;
-
-    /** Repair passes over all resonators. */
-    int maxRounds = 8;
-
-    /**
-     * After move/swap rounds, rip up each still-broken resonator and
-     * re-place its whole segment chain contiguously (tau-checked with
-     * plain-nearest fallback).
-     */
-    bool chainReplace = true;
-};
+/**
+ * The legalizer's tau probe: true when no instance that may collide
+ * with @p inst (mayCollide() under @p rule) owns an occupancy cell
+ * within rule.adjacencyTolUm of inst's padded footprint centred at
+ * @p center. Cell-granular, so it guards every pair the hotspot
+ * analyzer would flag and possibly a few more. @p inst itself and
+ * @p ignore_a / @p ignore_b (-1: none) are skipped. @p scratch is
+ * ownersIn's buffer: the probe runs once per candidate slot, so it
+ * must not allocate.
+ */
+bool tauClean(const Netlist &netlist, const OccupancyGrid &grid,
+              const HotspotParams &rule, const Instance &inst, Vec2 center,
+              std::vector<std::int32_t> &scratch, int ignore_a = -1,
+              int ignore_b = -1);
 
 /** Runs Algorithm 1 on a legalized netlist. */
 class IntegrationLegalizer
 {
   public:
-    explicit IntegrationLegalizer(IntegrationParams params = {});
+    /**
+     * @param rule           The collision rule the tau probe enforces.
+     * @param resonanceCheck Validate moves and swaps with the tau probe
+     *                       (off in the frequency-blind Classic mode).
+     */
+    explicit IntegrationLegalizer(HotspotParams rule = {},
+                                  bool resonanceCheck = true);
 
     /** Outcome summary. */
     struct Result
@@ -93,9 +81,6 @@ class IntegrationLegalizer
     clusters(const Netlist &netlist, int resonator_id) const;
 
   private:
-    /** True if two instances' padded rects are within the tolerance. */
-    bool adjacent(const Instance &a, const Instance &b) const;
-
     /**
      * Rip up and contiguously re-place the full segment chain of
      * resonator @p r (the final repair of Algorithm 1 failures).
@@ -103,20 +88,11 @@ class IntegrationLegalizer
      */
     bool replaceChain(Netlist &netlist, OccupancyGrid &grid, int r) const;
 
-    /**
-     * tau check for placing instance @p inst (hypothetically centered at
-     * @p pos) next to its neighbours: no near-resonant foreign instance
-     * within the adjacency tolerance. Always passes when resonance
-     * checking is disabled.
-     */
-    bool resonanceOk(const Netlist &netlist, const OccupancyGrid &grid,
-                     const Instance &inst, Vec2 pos,
-                     int ignore_a, int ignore_b) const;
-
-    IntegrationParams params_;
+    HotspotParams rule_;
+    bool resonanceCheck_;
 
     /**
-     * ownersIn scratch for resonanceOk: the tau probe runs once per
+     * ownersIn scratch for tauClean: the tau probe runs once per
      * candidate slot of every repair move, so it must not allocate.
      * The legalizer is single-threaded; mutable is safe here.
      */

@@ -14,8 +14,8 @@
 
 namespace qplacer {
 
-Legalizer::Legalizer(LegalizerParams params)
-    : params_(params)
+Legalizer::Legalizer(LegalizerParams params, HotspotParams hotspot)
+    : params_(params), hotspot_(hotspot)
 {
 }
 
@@ -176,7 +176,8 @@ Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
     for (const Resonator &res : netlist.resonators())
         if (!res.segments.empty() && is_movable[res.segments.front()])
             movable_res.push_back(res.id);
-    if (!tetrisLegalizeSegments(netlist, grid, params_.integrationParams,
+    if (!tetrisLegalizeSegments(netlist, grid, hotspot_,
+                                params_.resonanceCheck,
                                 result.segmentDisplacementUm,
                                 movable_res)) {
         return false;
@@ -188,7 +189,7 @@ Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
         return true;
     stage_timer.reset();
     if (params_.integration && !movable_res.empty()) {
-        IntegrationLegalizer integrator(params_.integrationParams);
+        IntegrationLegalizer integrator(hotspot_, params_.resonanceCheck);
         result.integration = integrator.run(netlist, grid, movable_res);
     }
     result.integrationSeconds = stage_timer.seconds();

@@ -43,8 +43,11 @@ struct LegalizerParams
     /** Run the integration-aware repair pass. */
     bool integration = true;
 
-    /** Parameters forwarded to the integration legalizer. */
-    IntegrationParams integrationParams;
+    /**
+     * Validate Tetris slots and integration moves against the tau
+     * probe (off in the frequency-blind Classic mode).
+     */
+    bool resonanceCheck = true;
 };
 
 /** Legalization outcome. */
@@ -69,7 +72,13 @@ struct LegalizeResult
 class Legalizer
 {
   public:
-    explicit Legalizer(LegalizerParams params = {});
+    /**
+     * @p hotspot is the collision rule the tau probe enforces: the
+     * threshold and adjacency tolerance of the hotspot metric, so the
+     * legalizer guards every pair the metric would flag.
+     */
+    explicit Legalizer(LegalizerParams params = {},
+                       HotspotParams hotspot = {});
 
     /**
      * Legalize @p netlist in place: legalizeScoped() with every
@@ -117,6 +126,7 @@ class Legalizer
                  LegalizeResult &result, const CancelToken *cancel) const;
 
     LegalizerParams params_;
+    HotspotParams hotspot_;
 };
 
 } // namespace qplacer

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "freq/spectrum.hpp"
 #include "legal/spiral.hpp"
 #include "util/logging.hpp"
 
@@ -10,7 +9,7 @@ namespace qplacer {
 
 bool
 tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
-                       const IntegrationParams &params,
+                       const HotspotParams &rule, bool resonance_check,
                        double &displacement_um,
                        const std::vector<int> &resonators)
 {
@@ -35,9 +34,9 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
         return a < b;
     });
 
-    // Probe scratch shared across every tau_ok invocation: the
-    // resonance check runs once per spiral candidate, so a per-probe
-    // std::vector allocation used to dominate dense neighbourhoods.
+    // Probe scratch shared across every tau probe: the resonance check
+    // runs once per spiral candidate, so a per-probe std::vector
+    // allocation used to dominate dense neighbourhoods.
     std::vector<std::int32_t> owner_scratch;
 
     for (int r : res_order) {
@@ -53,27 +52,12 @@ tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
             const Vec2 desired = have_anchor ? anchor : seg.pos;
 
             std::optional<Vec2> spot;
-            if (params.resonanceCheck) {
+            if (resonance_check) {
                 // tau-checked search first, within a bounded radius so
                 // a hopeless neighbourhood degrades gracefully.
                 auto tau_ok = [&](Vec2 center) {
-                    const Rect probe =
-                        Rect::fromCenter(center, w, h)
-                            .inflated(params.probeTolUm);
-                    grid.ownersIn(probe, owner_scratch);
-                    for (std::int32_t other : owner_scratch) {
-                        if (other == id)
-                            continue;
-                        const Instance &o = netlist.instance(other);
-                        if (o.resonator == seg.resonator &&
-                            o.resonator >= 0)
-                            continue;
-                        if (isResonant(seg.freqHz, o.freqHz,
-                                       params.detuningThresholdHz)) {
-                            return false;
-                        }
-                    }
-                    return true;
+                    return tauClean(netlist, grid, rule, seg, center,
+                                    owner_scratch);
                 };
                 const int radius = static_cast<int>(
                     12.0 * seg.paddedWidth() / grid.cellUm());

@@ -22,10 +22,11 @@ namespace qplacer {
  * @p grid (which already contains the placed qubits). Updates instance
  * positions and occupies the grid.
  *
- * When @p params.resonanceCheck is set (Qplacer mode), candidate slots
- * adjacent to a near-resonant foreign instance are skipped within a
- * bounded search radius (falling back to the plain nearest slot when
- * no clean one exists), so the tau constraint survives legalization.
+ * When @p resonance_check is set (Qplacer mode), candidate slots that
+ * fail the tau probe under @p rule (tauClean: an instance that may
+ * collide within rule.adjacencyTolUm) are skipped within a bounded
+ * search radius (falling back to the plain nearest slot when no clean
+ * one exists), so the tau constraint survives legalization.
  *
  * The Legalizer passes every resonator for full legalization and the
  * movable chains for a scoped one; segments of resonators not listed
@@ -38,8 +39,8 @@ namespace qplacer {
  *         retry with a larger region).
  */
 bool tetrisLegalizeSegments(Netlist &netlist, OccupancyGrid &grid,
-                            const IntegrationParams &params,
-                            double &displacement_um,
+                            const HotspotParams &rule,
+                            bool resonance_check, double &displacement_um,
                             const std::vector<int> &resonators);
 
 } // namespace qplacer

@@ -4,10 +4,10 @@
  *
  * Plan construction costs O(N) transcendental evaluations; the solver
  * grids that need them (one per bin-count in use) are few. The cache
- * hands out shared, immutable plans keyed by (length, plan kind) —
- * one DctPlan per length covers all four DCT/DST kernels, since they
- * share the FFT tables and differ only in pre/post twiddles that the
- * plan also precomputes.
+ * hands out shared, immutable plans keyed by length — one DctPlan per
+ * length covers all four DCT/DST kernels, since they share the FFT
+ * tables and differ only in pre/post twiddles that the plan also
+ * precomputes.
  *
  * Lookup takes a mutex, so hot paths should fetch their plans once
  * (e.g. PoissonSolver grabs both of its plans at construction) rather
@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "math/dct_plan.hpp"
-#include "math/fft_plan.hpp"
 
 namespace qplacer {
 
@@ -33,9 +32,6 @@ class PlanCache
   public:
     /** The DCT/DST plan for length @p n (built on first request). */
     static std::shared_ptr<const DctPlan> dct(std::size_t n);
-
-    /** The bare-FFT plan for length @p n (built on first request). */
-    static std::shared_ptr<const FftPlan> fft(std::size_t n);
 
     /** Number of distinct plans currently cached (for tests/stats). */
     static std::size_t size();

@@ -78,11 +78,6 @@ FlowParams::normalized(std::string *error) const
           "non-negative (0 = always sparse)");
     check(legalizer.flowSparseNeighbors >= 1,
           "FlowParams: legalizer.flowSparseNeighbors must be at least 1");
-    check(legalizer.integrationParams.maxRounds >= 0,
-          "FlowParams: legalizer.integrationParams.maxRounds must be >= 0");
-    check(legalizer.integrationParams.adjacencyTolUm >= 0.0 &&
-              legalizer.integrationParams.probeTolUm >= 0.0,
-          "FlowParams: integration tolerances must be non-negative");
     check(hotspot.adjacencyTolUm >= 0.0,
           "FlowParams: hotspot.adjacencyTolUm must be non-negative");
     check(incremental.maxIters >= 1,
@@ -109,13 +104,10 @@ FlowParams::normalized(std::string *error) const
 
     // The assigner's detuning threshold is the single source of truth:
     // the near-resonant pairs the placer's frequency force pushes
-    // apart, the tau check the integration legalizer validates
-    // against, and the hotspot metric must all judge resonance exactly
-    // like the frequencies were assigned (flow.cpp and qplacer_cli used
-    // to hand-copy these).
+    // apart and the collision rule of the hotspot metric (which the
+    // legalizer's tau probe also reads) must judge resonance exactly
+    // like the frequencies were assigned.
     p.placer.detuningThresholdHz = assigner.detuningThresholdHz;
-    p.legalizer.integrationParams.detuningThresholdHz =
-        assigner.detuningThresholdHz;
     p.hotspot.detuningThresholdHz = assigner.detuningThresholdHz;
 
     // The region is sized once, from the flow-level utilization target.
@@ -131,7 +123,7 @@ FlowParams::normalized(std::string *error) const
         // Classic: the same engine and hyper-parameters, minus every
         // frequency-aware ingredient (Section V-B).
         p.placer.freqForce = false;
-        p.legalizer.integrationParams.resonanceCheck = false;
+        p.legalizer.resonanceCheck = false;
     }
     return p;
 }

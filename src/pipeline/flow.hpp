@@ -114,10 +114,10 @@ struct FlowParams
      * form the staged pipeline accepts. Normalization:
      *
      *  - assigner.detuningThresholdHz is the single source of truth
-     *    for the detuning threshold; the copy in the placer, the
-     *    integration legalizer, and the hotspot analyzer is
-     *    overwritten with it (previously each caller hand-copied it,
-     *    or forgot to);
+     *    for the detuning threshold; the copies in the placer and in
+     *    `hotspot` are overwritten with it. `hotspot` is the one
+     *    collision rule: the metric, the annealer and the legalizer's
+     *    tau probe all read its threshold and adjacencyTolUm;
      *  - targetUtil is mirrored into placer.targetUtil;
      *  - Classic mode disables the frequency force and the resonance
      *    check (Section V-B);

@@ -234,7 +234,7 @@ class ScopedLegalizeStage final : public FlowStage
         ctx.result.incremental.movableInstances =
             static_cast<int>(movable.size());
 
-        const Legalizer legalizer(ctx.params.legalizer);
+        const Legalizer legalizer(ctx.params.legalizer, ctx.params.hotspot);
         ctx.result.legal =
             legalizer.legalizeScoped(netlist, movable, ctx.cancel);
         if (ctx.result.legal.cancelled) {

@@ -226,20 +226,18 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
     // Concurrent batch: every worker pulls the next unclaimed job
     // (dynamic scheduling -- placements vary wildly in cost, so a
     // static split would idle half the pool on the tail). Each job is
-    // placed single-threaded (inner pool = null): nesting regions on
-    // one pool is illegal, and the per-job serial path is exactly what
-    // makes batch results bitwise-equal to placer.threads=1 serial
-    // runs. runJob never throws (stage errors land in the per-job
-    // status), so one failing job cannot take down the batch.
+    // placed without an inner pool: nesting regions on one pool is
+    // illegal. A layout does not depend on the thread count, so the
+    // results equal serial runs bit for bit. runJob never throws
+    // (stage errors land in the per-job status), so one failing job
+    // cannot take down the batch.
     std::atomic<std::size_t> next{0};
     batch_->forChunks(
         static_cast<std::size_t>(workers),
         [&](int, std::size_t, std::size_t) {
             for (std::size_t i = next.fetch_add(1); i < jobs.size();
                  i = next.fetch_add(1)) {
-                FlowParams job_params = *jobs[i].params;
-                job_params.placer.threads = 1;
-                results[i] = runJob(*jobs[i].topo, job_params,
+                results[i] = runJob(*jobs[i].topo, *jobs[i].params,
                                     static_cast<int>(i), nullptr,
                                     /*logging=*/false);
             }
@@ -307,7 +305,6 @@ PlacementSession::runPortfolio(const Topology &topo,
             probe.placer.seed =
                 stats.candidates[static_cast<std::size_t>(ci)].seed;
             probe.placer.maxIters = static_cast<int>(checkpoint);
-            probe.placer.threads = 1;
             probes[k] = runTruncatedProbe(topo, probe, ci, &recorder,
                                           &cancel_);
         };
@@ -383,16 +380,16 @@ PlacementSession::runPortfolio(const Topology &topo,
     }
 
     // Survivors run the complete flow (detailed stage included when
-    // enabled), each single-threaded so the winner is bitwise-identical
-    // to a serial replay of its seed. The external observer stays
-    // detached: per-candidate events would interleave meaninglessly.
+    // enabled) through runBatch; the winner is bitwise-identical to a
+    // replay of its seed at any thread count. The external observer
+    // stays detached: per-candidate events would interleave
+    // meaninglessly.
     std::vector<FlowParams> fulls;
     fulls.reserve(alive.size());
     for (const int ci : alive) {
         FlowParams full = base;
         full.placer.seed =
             stats.candidates[static_cast<std::size_t>(ci)].seed;
-        full.placer.threads = 1;
         fulls.push_back(full);
     }
     FlowObserver *const saved = observer_;

@@ -16,13 +16,13 @@
  *   std::vector<PlacementJob> jobs = ...;   // one topology+params each
  *   auto results = session.runBatch(jobs);  // all jobs, concurrently
  *
- * Determinism contract: a batch job executes its placement single-
- * threaded whenever jobs run concurrently (workers > 1), so
- * runBatch(jobs) is **bitwise-identical** to running each job through
- * QplacerFlow::run with the same parameters and placer.threads = 1 --
- * parallelism across jobs instead of inside one, same numbers either
- * way. With workers <= 1 jobs run in order and keep their requested
- * intra-job thread count.
+ * Determinism contract: a layout depends only on (topology, params,
+ * seed), not on the thread count, so runBatch(jobs) is
+ * **bitwise-identical** to running each job through QplacerFlow::run
+ * with the same parameters. With workers > 1 the jobs run
+ * concurrently, each without an inner pool (parallelism across jobs
+ * instead of inside one); with workers <= 1 they run in order with
+ * their requested intra-job thread count.
  */
 
 #ifndef QPLACER_PIPELINE_SESSION_HPP
@@ -109,12 +109,11 @@ class PlacementSession
      * and the best final layout (legal first, then lowest HPWL, then
      * lowest seed offset) is returned with PortfolioStats attached.
      *
-     * Determinism contract: every candidate's full run places
-     * single-threaded with its own seed, so the winner is
-     * bitwise-identical to a serial QplacerFlow::run of that seed with
-     * placer.threads = 1 (and the same detailed knobs). The base seed
-     * is exempt from pruning, so the portfolio result is never worse
-     * than the single-seed flow. With seeds <= 1 (or Human mode) this
+     * Determinism contract: a layout does not depend on the thread
+     * count, so the winner is bitwise-identical to a QplacerFlow::run
+     * of its seed with the same knobs, at any placer.threads. The base
+     * seed is exempt from pruning, so the portfolio result is never
+     * worse than the single-seed flow. With seeds <= 1 (or Human mode) this
      * forwards to run() -- the exact single-seed path, bitwise.
      *
      * @p n_seeds > 0 overrides params.portfolio.seeds. The external

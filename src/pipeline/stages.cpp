@@ -127,7 +127,7 @@ class LegalizeStage final : public FlowStage
 
     void run(FlowContext &ctx) const override
     {
-        const Legalizer legalizer(ctx.params.legalizer);
+        const Legalizer legalizer(ctx.params.legalizer, ctx.params.hotspot);
         ctx.result.legal =
             legalizer.legalize(ctx.result.netlist, ctx.cancel);
         if (ctx.result.legal.cancelled) {

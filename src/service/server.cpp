@@ -493,8 +493,9 @@ PlacementServer::runJob(int worker_index, Job &job)
     params.placer.seed = req.seed;
     params.partition.segmentUm = req.segmentUm;
     applyOverrides(req.set, params);
-    // The bitwise contract: with concurrent workers every job places
-    // single-threaded, exactly like PlacementSession::runBatch.
+    // With concurrent workers every job places single-threaded, so
+    // the workers do not oversubscribe the cores (the layout is the
+    // same at any thread count).
     if (workers() > 1)
         params.placer.threads = 1;
 

@@ -35,10 +35,11 @@
  *    QPLACER_FAILPOINTS / the "failpoint" request behind
  *    ServerOptions::enableFailpoints.
  *
- * Determinism contract: with workers > 1 every job is forced to
- * placer.threads = 1, exactly like PlacementSession::runBatch, so a
- * stream of concurrent jobs is bitwise-identical to running each
- * serially. Responses for one job arrive in order (ack -> progress* ->
+ * Determinism contract: a layout does not depend on the thread count,
+ * so a stream of concurrent jobs is bitwise-identical to running each
+ * on its own. With workers > 1 every job is placed with
+ * placer.threads = 1 so that concurrent jobs do not oversubscribe the
+ * cores. Responses for one job arrive in order (ack -> progress* ->
  * result); responses of different jobs interleave.
  */
 

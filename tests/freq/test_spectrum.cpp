@@ -67,5 +67,29 @@ TEST(Spectrum, QubitNeverResonantWithResonatorBand)
     EXPECT_FALSE(isResonant(5.2e9, 6.0e9));
 }
 
+TEST(Spectrum, CollisionRuleTruthTable)
+{
+    constexpr int kQubit = -1;
+    const double dc = kDetuningThresholdHz;
+    // Exactly Delta_c apart is detuned, whatever the groups.
+    EXPECT_FALSE(mayCollide(6.5e9, 3, 6.5e9 + dc, 4));
+    EXPECT_FALSE(mayCollide(5.0e9, kQubit, 5.0e9 + dc, kQubit));
+    EXPECT_FALSE(mayCollide(6.5e9, 3, 6.5e9 + dc, 3));
+    // Resonant pairs of different resonators, or a segment and a
+    // qubit, collide.
+    EXPECT_TRUE(mayCollide(6.5e9, 3, 6.5e9, 4));
+    EXPECT_TRUE(mayCollide(6.5e9, 3, 6.5e9 + 0.5 * dc, 4));
+    EXPECT_TRUE(mayCollide(5.0e9, kQubit, 5.0e9, 0));
+    EXPECT_TRUE(mayCollide(5.0e9, 0, 5.0e9, kQubit));
+    // Segments of one resonator are excluded (the Kronecker delta).
+    EXPECT_FALSE(mayCollide(6.5e9, 3, 6.5e9, 3));
+    EXPECT_FALSE(mayCollide(6.5e9, 0, 6.5e9, 0));
+    // Two qubits (group -1) are never excluded as "one resonator".
+    EXPECT_TRUE(mayCollide(5.0e9, kQubit, 5.0e9, kQubit));
+    // The threshold argument is honoured.
+    EXPECT_FALSE(mayCollide(5.0e9, kQubit, 5.05e9, kQubit, 0.05e9));
+    EXPECT_TRUE(mayCollide(5.0e9, kQubit, 5.05e9, kQubit, 0.06e9));
+}
+
 } // namespace
 } // namespace qplacer

@@ -150,9 +150,8 @@ TEST(Integration, ResonanceCheckBlocksBadMoves)
                         inst.id);
         }
     }
-    IntegrationParams params;
-    params.resonanceCheck = true;
-    const IntegrationLegalizer legalizer(params);
+    const HotspotParams rule;
+    const IntegrationLegalizer legalizer(rule, /*resonanceCheck=*/true);
     legalizer.run(f.nl, grid, {f.resA, f.resB});
 
     // Wherever the stray ended up, it must not be adjacent to the
@@ -160,7 +159,7 @@ TEST(Integration, ResonanceCheckBlocksBadMoves)
     const Rect stray_fp = stray.paddedRect();
     for (int seg : f.nl.resonator(f.resB).segments) {
         const Rect other = f.nl.instance(seg).paddedRect();
-        EXPECT_GT(stray_fp.gap(other), params.probeTolUm)
+        EXPECT_GT(stray_fp.gap(other), rule.adjacencyTolUm)
             << "stray re-attached next to a resonant foreign segment";
     }
 }

@@ -346,7 +346,7 @@ TEST(Legalizer, ClassicModeSkipsResonanceChecks)
 {
     Netlist nl = placedNetlist(4, 4, /*freq_force=*/false);
     LegalizerParams params;
-    params.integrationParams.resonanceCheck = false;
+    params.resonanceCheck = false;
     const LegalizeResult result = Legalizer(params).legalize(nl);
     EXPECT_TRUE(result.legal);
 }

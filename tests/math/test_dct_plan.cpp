@@ -219,8 +219,7 @@ TEST(PlanCache, SharesOnePlanPerLength)
     const auto b = PlanCache::dct(64);
     EXPECT_EQ(a.get(), b.get());
     EXPECT_NE(a.get(), PlanCache::dct(128).get());
-    EXPECT_EQ(PlanCache::fft(64).get(), PlanCache::fft(64).get());
-    EXPECT_GE(PlanCache::size(), 3u);
+    EXPECT_GE(PlanCache::size(), 2u);
 }
 
 TEST(PlanCache, RectangularMapsUseBothLengths)

@@ -4,7 +4,9 @@
  * the all-pairs graph loops that FrequencyAssigner replaced with a
  * saturation heap and per-qubit incident lists. The assign
  * equivalence suite (tests/freq/test_assign_equivalence.cpp,
- * ctest -L assign) requires identical colourings and violation counts.
+ * ctest -L assign) requires identical colourings. The all-pairs
+ * violation count is the assigner suites' property check: no coupled
+ * pair and no two resonators sharing a qubit may be resonant.
  */
 
 #ifndef QPLACER_TESTS_ORACLES_ASSIGN_HPP

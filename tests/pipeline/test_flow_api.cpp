@@ -212,17 +212,15 @@ TEST(FlowApi, NormalizedPropagatesDetuningEverywhere)
     params.assigner.detuningThresholdHz = 0.123e9;
     // Stale hand-copies that normalized() must overwrite.
     params.placer.detuningThresholdHz = 1.0;
-    params.legalizer.integrationParams.detuningThresholdHz = 2.0;
     params.hotspot.detuningThresholdHz = 3.0;
     params.targetUtil = 0.6;
 
     const FlowParams n = params.normalized();
     EXPECT_EQ(n.placer.detuningThresholdHz, 0.123e9);
-    EXPECT_EQ(n.legalizer.integrationParams.detuningThresholdHz, 0.123e9);
     EXPECT_EQ(n.hotspot.detuningThresholdHz, 0.123e9);
     EXPECT_EQ(n.placer.targetUtil, 0.6);
     EXPECT_TRUE(n.placer.freqForce);
-    EXPECT_TRUE(n.legalizer.integrationParams.resonanceCheck);
+    EXPECT_TRUE(n.legalizer.resonanceCheck);
 }
 
 TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
@@ -231,7 +229,30 @@ TEST(FlowApi, NormalizedClassicDisablesFrequencyAwareness)
     params.mode = PlacerMode::Classic;
     const FlowParams n = params.normalized();
     EXPECT_FALSE(n.placer.freqForce);
-    EXPECT_FALSE(n.legalizer.integrationParams.resonanceCheck);
+    EXPECT_FALSE(n.legalizer.resonanceCheck);
+}
+
+TEST(FlowApi, LegalizerReadsTheHotspotTolerance)
+{
+    // hotspot.adjacencyTolUm is the one adjacency tolerance of a
+    // collision: the legalize stage hands it to the tau probe, so
+    // widening it leaves fewer pairs within the wider tolerance.
+    const Topology topo = makeFalcon();
+    FlowParams params;
+    const FlowResult narrow = QplacerFlow(params).run(topo);
+    params.hotspot.adjacencyTolUm = 250.0;
+    const FlowResult wide = QplacerFlow(params).run(topo);
+
+    const auto pairs_within = [&](const Netlist &nl) {
+        const auto &inst = nl.instances();
+        int count = 0;
+        double gap = 0.0;
+        for (std::size_t a = 0; a < inst.size(); ++a)
+            for (std::size_t b = a + 1; b < inst.size(); ++b)
+                count += isHotspotPair(inst[a], inst[b], params.hotspot, gap);
+        return count;
+    };
+    EXPECT_LT(pairs_within(wide.netlist), pairs_within(narrow.netlist));
 }
 
 TEST(FlowApi, NormalizedValidatesRanges)

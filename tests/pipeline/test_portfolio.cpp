@@ -4,7 +4,8 @@
  *
  *  - portfolio.seeds = 1 degrades to the exact single-seed flow,
  *  - replaying the winning seed through a serial flow reproduces the
- *    portfolio's layout bit for bit,
+ *    portfolio's layout bit for bit, and the winner does not depend on
+ *    the intra-placement thread count,
  *  - portfolio + detailed placement never loses to the plain
  *    single-seed flow on the golden topologies (the base seed is
  *    exempt from pruning and the annealer never worsens HPWL, so this
@@ -72,6 +73,34 @@ TEST(Portfolio, WinnerReplayIsBitwiseIdenticalToSerialRun)
     ASSERT_TRUE(serial.status.ok());
     EXPECT_TRUE(bitwiseSameLayout(serial.netlist, result.netlist));
     EXPECT_EQ(serial.place.finalHpwl, result.place.finalHpwl);
+}
+
+TEST(Portfolio, SerialWorkersWinnerIsThreadCountInvariant)
+{
+    // With workers = 1 the probes and full runs keep the requested
+    // intra-placement thread count. A layout depends only on
+    // (topology, params, seed), so 4 threads return the 1-thread
+    // winner bit for bit. grid8x8 is above the parallel grains, so the
+    // 4-thread run really is chunked.
+    const Topology topo = makeGrid(8, 8);
+    SessionParams sparams;
+    sparams.workers = 1;
+
+    FlowParams params = quickParams(1, 120);
+    PlacementSession serial_session(sparams);
+    const FlowResult serial = serial_session.runPortfolio(topo, params, 3);
+
+    params.placer.threads = 4;
+    PlacementSession threaded_session(sparams);
+    const FlowResult threaded =
+        threaded_session.runPortfolio(topo, params, 3);
+
+    ASSERT_TRUE(serial.status.ok());
+    ASSERT_TRUE(threaded.status.ok());
+    EXPECT_EQ(serial.portfolioStats.winnerSeed,
+              threaded.portfolioStats.winnerSeed);
+    EXPECT_TRUE(bitwiseSameLayout(serial.netlist, threaded.netlist));
+    EXPECT_EQ(serial.place.finalHpwl, threaded.place.finalHpwl);
 }
 
 TEST(Portfolio, StatsDescribeEveryCandidate)

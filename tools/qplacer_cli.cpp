@@ -80,10 +80,9 @@ Options:
                       through one PlacementSession (default: 1). Per-job
                       seeds wrap modulo 2^64: a base seed near
                       UINT64_MAX deterministically continues at 0, 1,
-                      ... Jobs run concurrently (see --workers); each
-                      job is placed single-threaded when jobs run
-                      concurrently, so a batch reproduces N serial
-                      --threads 1 runs bit for bit.
+                      ... Jobs run concurrently (see --workers). A
+                      layout does not depend on the thread count, so
+                      a batch reproduces N single runs bit for bit.
   --workers M         Concurrent jobs for --jobs (default 0 = hardware
                       concurrency, capped; 1 = serial batch).
   --portfolio N       Multi-start portfolio: race N candidates seeded
