@@ -11,6 +11,24 @@
 
 namespace qplacer {
 
+const char *
+placeStopReasonName(PlaceStopReason reason)
+{
+    switch (reason) {
+      case PlaceStopReason::NotRun:
+        return "not_run";
+      case PlaceStopReason::Converged:
+        return "converged";
+      case PlaceStopReason::Plateau:
+        return "plateau";
+      case PlaceStopReason::MaxIters:
+        return "max_iters";
+      case PlaceStopReason::Cancelled:
+        return "cancelled";
+    }
+    return "?";
+}
+
 GlobalPlacer::GlobalPlacer(PlacerParams params)
     : params_(params)
 {
@@ -68,11 +86,13 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
     double best_overflow = 1.0;
     int since_improvement = 0;
     int iter = 0;
+    result.stopReason = PlaceStopReason::MaxIters; // until a break says
     for (; iter < params_.maxIters; ++iter) {
         // Cooperative cancellation: poll at the top so a cancelled run
         // never pays for another full objective evaluation.
         if (monitor.cancel && monitor.cancel->cancelled()) {
             result.cancelled = true;
+            result.stopReason = PlaceStopReason::Cancelled;
             break;
         }
         objective.updateGamma(overflow);
@@ -87,6 +107,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
 
         if (iter >= params_.minIters && overflow < params_.stopOverflow) {
             result.converged = true;
+            result.stopReason = PlaceStopReason::Converged;
             break;
         }
         // Plateau detection: the penalty equilibrium has been reached
@@ -96,6 +117,7 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
             since_improvement = 0;
         } else if (++since_improvement >= params_.patience &&
                    iter >= params_.minIters) {
+            result.stopReason = PlaceStopReason::Plateau;
             break;
         }
         optimizer.step(gradient);
@@ -111,7 +133,8 @@ GlobalPlacer::place(Netlist &netlist, ThreadPool *pool,
     result.finalOverflow = overflow;
     result.finalHpwl = objective.hpwl(solution);
     result.seconds = timer.seconds();
-    debug(str("global place: ", result.iterations, " iters, overflow ",
+    debug(str("global place: ", result.iterations, " iters (",
+              placeStopReasonName(result.stopReason), "), overflow ",
               result.finalOverflow, ", HPWL ", result.finalHpwl));
     return result;
 }

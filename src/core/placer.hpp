@@ -18,6 +18,22 @@ namespace qplacer {
 
 class ThreadPool;
 
+/** Why the global-placement loop stopped. */
+enum class PlaceStopReason
+{
+    NotRun,    ///< No loop ran (Human mode, or a reused prior).
+    Converged, ///< Overflow below stopOverflow after minIters.
+    Plateau,   ///< No overflow gain for `patience` iterations.
+    MaxIters,  ///< The maxIters budget ran out.
+    Cancelled, ///< A CancelToken stopped it.
+};
+
+/**
+ * Report name of @p reason: "not_run", "converged", "plateau",
+ * "max_iters" or "cancelled".
+ */
+const char *placeStopReasonName(PlaceStopReason reason);
+
 /** Outcome of a global placement run. */
 struct PlaceResult
 {
@@ -27,6 +43,7 @@ struct PlaceResult
     double seconds = 0.0;
     bool converged = false;
     bool cancelled = false; ///< Stopped early by a CancelToken.
+    PlaceStopReason stopReason = PlaceStopReason::NotRun;
 };
 
 /** Per-iteration progress snapshot delivered to a PlaceMonitor. */

@@ -56,6 +56,9 @@ MinCostFlow::dijkstra(int source, int sink)
         heap.pop();
         if (d > dist_[u])
             continue;
+        // Settled: no later pop can shorten the path to the sink.
+        if (u == sink)
+            break;
         for (int slot = 0; slot < static_cast<int>(graph_[u].size());
              ++slot) {
             const Edge &e = graph_[u][slot];
@@ -81,10 +84,12 @@ MinCostFlow::solve(int source, int sink, std::int64_t max_flow)
     Result result;
 
     while (result.flow < max_flow && dijkstra(source, sink)) {
-        for (int v = 0; v < numNodes_; ++v) {
-            if (dist_[v] < kInfinite)
-                potential_[v] += dist_[v];
-        }
+        // Nodes the search did not settle are at least as far as the
+        // sink; capping at dist(sink) keeps every residual reduced
+        // cost non-negative.
+        const std::int64_t sink_dist = dist_[sink];
+        for (int v = 0; v < numNodes_; ++v)
+            potential_[v] += std::min(dist_[v], sink_dist);
 
         // Bottleneck along the augmenting path.
         std::int64_t push = max_flow - result.flow;

@@ -1,6 +1,9 @@
 /**
  * @file
  * Min-cost max-flow via successive shortest paths with Johnson potentials.
+ * Each round's Dijkstra stops once the sink is settled; nodes it left
+ * unsettled advance their potential by the sink's distance, which keeps
+ * reduced costs non-negative for the next round.
  *
  * Used by the legalization stack to refine qubit positions: qubits are
  * matched to candidate sites minimizing total displacement (the min-cost

@@ -504,6 +504,8 @@ jobReportJson(const FlowResult &r, std::uint64_t seed)
                                 r.place.iterations)));
     place.set("converged", JsonValue::boolean(r.place.converged));
     place.set("cancelled", JsonValue::boolean(r.place.cancelled));
+    place.set("stop_reason", JsonValue::string(placeStopReasonName(
+                                 r.place.stopReason)));
     place.set("overflow", JsonValue::number(r.place.finalOverflow));
     place.set("hpwl_um", JsonValue::number(r.place.finalHpwl));
     job.set("place", std::move(place));

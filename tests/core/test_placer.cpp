@@ -114,5 +114,68 @@ TEST(GlobalPlacer, RespectsIterationCap)
     EXPECT_LE(r.iterations, 5);
 }
 
+TEST(GlobalPlacer, StopReasonConverged)
+{
+    Netlist nl = gridNetlist(3, 3);
+    const PlaceResult r = GlobalPlacer().place(nl);
+    EXPECT_EQ(r.stopReason, PlaceStopReason::Converged);
+    EXPECT_TRUE(r.converged);
+    EXPECT_LT(r.finalOverflow, PlacerParams{}.stopOverflow);
+}
+
+TEST(GlobalPlacer, StopReasonPlateau)
+{
+    // An unreachable overflow target: only the plateau rule can stop
+    // the run before its (large) budget.
+    Netlist nl = gridNetlist(3, 3);
+    PlacerParams params;
+    params.stopOverflow = 0.0;
+    params.minIters = 0;
+    params.patience = 5;
+    params.maxIters = 100000;
+    const PlaceResult r = GlobalPlacer(params).place(nl);
+    EXPECT_EQ(r.stopReason, PlaceStopReason::Plateau);
+    EXPECT_FALSE(r.converged);
+    EXPECT_LT(r.iterations, params.maxIters);
+}
+
+TEST(GlobalPlacer, StopReasonMaxIters)
+{
+    Netlist nl = gridNetlist(3, 3);
+    PlacerParams params;
+    params.maxIters = 5;
+    params.minIters = 0;
+    const PlaceResult r = GlobalPlacer(params).place(nl);
+    EXPECT_EQ(r.stopReason, PlaceStopReason::MaxIters);
+    EXPECT_EQ(r.iterations, 5);
+    EXPECT_FALSE(r.converged);
+}
+
+TEST(GlobalPlacer, StopReasonCancelled)
+{
+    Netlist nl = gridNetlist(3, 3);
+    CancelToken token;
+    token.cancel();
+    PlaceMonitor monitor;
+    monitor.cancel = &token;
+    const PlaceResult r = GlobalPlacer().place(nl, nullptr, monitor);
+    EXPECT_EQ(r.stopReason, PlaceStopReason::Cancelled);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.iterations, 0);
+}
+
+TEST(GlobalPlacer, StopReasonNames)
+{
+    EXPECT_EQ(PlaceResult{}.stopReason, PlaceStopReason::NotRun);
+    EXPECT_STREQ(placeStopReasonName(PlaceStopReason::NotRun), "not_run");
+    EXPECT_STREQ(placeStopReasonName(PlaceStopReason::Converged),
+                 "converged");
+    EXPECT_STREQ(placeStopReasonName(PlaceStopReason::Plateau), "plateau");
+    EXPECT_STREQ(placeStopReasonName(PlaceStopReason::MaxIters),
+                 "max_iters");
+    EXPECT_STREQ(placeStopReasonName(PlaceStopReason::Cancelled),
+                 "cancelled");
+}
+
 } // namespace
 } // namespace qplacer

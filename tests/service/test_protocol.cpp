@@ -290,6 +290,22 @@ TEST(Protocol, JobReportCarriesStatusAndIncremental)
     EXPECT_EQ(report.find("multidie"), nullptr);
 }
 
+TEST(Protocol, JobReportCarriesPlaceStopReason)
+{
+    FlowResult result;
+    EXPECT_EQ(jobReportJson(result, 1)
+                  .find("place")
+                  ->find("stop_reason")
+                  ->asString(),
+              "not_run");
+    result.place.stopReason = PlaceStopReason::Plateau;
+    EXPECT_EQ(jobReportJson(result, 1)
+                  .find("place")
+                  ->find("stop_reason")
+                  ->asString(),
+              "plateau");
+}
+
 TEST(Protocol, JobReportCarriesMultidieBlock)
 {
     FlowResult result;
