@@ -20,6 +20,35 @@ l1Norm(const std::vector<Vec2> &g)
     return acc;
 }
 
+/**
+ * Schedule of the multi-die cut penalty: grown by this factor every
+ * iteration, capped at this many times its initial weight.
+ */
+constexpr double kCutLambdaGrowth = 1.05;
+constexpr double kCutLambdaMaxFactor = 300.0;
+
+/**
+ * lambda_f = weight * sum_{i: grad_f_i != 0} |grad_wl_i|_1 / |grad_f|_1:
+ * the frequency force scaled against the wirelength gradient on its
+ * own support, so a few pairs are not weighed against the whole chip.
+ * Serial in index order; 0 while the force is dormant.
+ */
+double
+freqMultiplier(double weight, const std::vector<Vec2> &grad_wl,
+               const std::vector<Vec2> &grad_f)
+{
+    double wl = 0.0;
+    double f = 0.0;
+    for (std::size_t i = 0; i < grad_f.size(); ++i) {
+        const double fi = std::abs(grad_f[i].x) + std::abs(grad_f[i].y);
+        if (fi == 0.0)
+            continue;
+        f += fi;
+        wl += std::abs(grad_wl[i].x) + std::abs(grad_wl[i].y);
+    }
+    return f > 1e-12 ? weight * wl / f : 0.0;
+}
+
 } // namespace
 
 PlacementObjective::PlacementObjective(const Netlist &netlist,
@@ -65,25 +94,14 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
     density_.evaluate(positions, gradDen_);
     if (freqForce_) {
         freqForce_->evaluate(positions, gradFreq_);
-        // The truncated force is often dormant at the warm start (all
-        // pairs isolated); initialize its penalty weight the first time
-        // it produces a gradient.
-        if (!freqLambdaLive_) {
-            const double fr_norm = l1Norm(gradFreq_);
-            if (fr_norm > 1e-12) {
-                freqLambda_ =
-                    params_.freqWeight * l1Norm(gradWl_) / fr_norm;
-                freqLambdaInit_ = freqLambda_;
-                freqLambdaLive_ = true;
-            }
-        }
+        freqLambda_ = freqMultiplier(params_.freqWeight, gradWl_, gradFreq_);
     } else {
         gradFreq_.assign(positions.size(), Vec2());
     }
     if (cutPenalty_) {
         cutPenalty_->evaluate(positions, gradCut_);
-        // Same lazy initialization as the frequency force: the penalty
-        // weight is meaningless until some net actually crosses a cut.
+        // Initialized lazily: the penalty weight is meaningless until
+        // some net actually crosses a cut.
         if (!cutLambdaLive_) {
             const double cut_norm = l1Norm(gradCut_);
             if (cut_norm > 1e-12) {
@@ -130,16 +148,9 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
     lambda_ = den_norm > 1e-12 ? wl_norm / den_norm : 0.0;
 
     freqLambda_ = 0.0;
-    freqLambdaLive_ = false;
-    wlGradNorm_ = wl_norm;
     if (freqForce_) {
         freqForce_->evaluate(positions, gradFreq_);
-        const double fr_norm = l1Norm(gradFreq_);
-        if (fr_norm > 1e-12) {
-            freqLambda_ = params_.freqWeight * wl_norm / fr_norm;
-            freqLambdaInit_ = freqLambda_;
-            freqLambdaLive_ = true;
-        }
+        freqLambda_ = freqMultiplier(params_.freqWeight, gradWl_, gradFreq_);
     }
 
     cutLambda_ = 0.0;
@@ -159,16 +170,9 @@ void
 PlacementObjective::growPenalties()
 {
     lambda_ *= params_.lambdaGrowth;
-    if (freqLambdaLive_) {
-        const double cap =
-            freqLambdaInit_ * params_.freqLambdaMaxFactor;
-        freqLambda_ =
-            std::min(freqLambda_ * params_.freqLambdaGrowth, cap);
-    }
     if (cutLambdaLive_) {
-        const double cap = cutLambdaInit_ * params_.freqLambdaMaxFactor;
-        cutLambda_ =
-            std::min(cutLambda_ * params_.freqLambdaGrowth, cap);
+        const double cap = cutLambdaInit_ * kCutLambdaMaxFactor;
+        cutLambda_ = std::min(cutLambda_ * kCutLambdaGrowth, cap);
     }
 }
 

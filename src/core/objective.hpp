@@ -2,11 +2,14 @@
  * @file
  * The penalty-method objective of Eq. (14):
  *   min  WL(x, y) + lambda * D(x, y) + lambda_f * F(x, y)
- * with lambda/lambda_f initialized from gradient-norm ratios and grown
- * multiplicatively each iteration, shifting the engine from pure area
- * (wirelength) optimization toward constraint satisfaction. The
- * Nesterov step only needs the gradient, so the penalized value itself
- * is never formed.
+ * lambda starts at a gradient-norm ratio and grows multiplicatively each
+ * iteration, shifting the engine from pure area (wirelength)
+ * optimization toward density satisfaction. lambda_f is renormalised
+ * every evaluation against the wirelength gradient of the instances the
+ * frequency force touches (the ePlace/DREAMPlace gradient-norm ratio,
+ * restricted to the force's support), so the force neither overpowers
+ * wirelength nor fades as the layout spreads. The Nesterov step only
+ * needs the gradient, so the penalized value itself is never formed.
  */
 
 #ifndef QPLACER_CORE_OBJECTIVE_HPP
@@ -46,12 +49,15 @@ class PlacementObjective
                   std::vector<Vec2> &gradient);
 
     /**
-     * Initialize lambda and lambda_f from the gradient norms at @p
-     * positions (call once before the loop).
+     * Initialize lambda, lambda_f and the cut multiplier from the
+     * gradient norms at @p positions (call once before the loop).
      */
     void initPenalties(const std::vector<Vec2> &positions);
 
-    /** Grow both penalty multipliers one schedule step. */
+    /**
+     * Grow the density and cut multipliers one schedule step (lambda_f
+     * is set by evaluate(), not grown).
+     */
     void growPenalties();
 
     /** Density overflow after the last evaluate(). */
@@ -79,9 +85,6 @@ class PlacementObjective
     double gammaBase_;
     double lambda_ = 0.0;
     double freqLambda_ = 0.0;
-    bool freqLambdaLive_ = false; ///< Set once the force first activates.
-    double freqLambdaInit_ = 0.0;
-    double wlGradNorm_ = 0.0;     ///< Reference norm for lazy freq init.
     double cutLambda_ = 0.0;
     bool cutLambdaLive_ = false; ///< Set once a net first crosses a cut.
     double cutLambdaInit_ = 0.0;

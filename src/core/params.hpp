@@ -42,9 +42,6 @@ struct PlacerParams
     /** Per-iteration multiplier applied to the density penalty. */
     double lambdaGrowth = 1.05;
 
-    /** Per-iteration multiplier applied to the frequency penalty. */
-    double freqLambdaGrowth = 1.05;
-
     /**
      * Enable the frequency repulsive force (Eq. 9/10). Disabled for the
      * Classic baseline.
@@ -52,10 +49,12 @@ struct PlacerParams
     bool freqForce = true;
 
     /**
-     * Initial frequency-penalty weight relative to the wirelength
-     * gradient (analogous to the density lambda initialization).
+     * Frequency-penalty weight w. Every iteration lambda_f is set to
+     * w * sum |grad WL_i|_1 / sum |grad F_i|_1, both sums over the
+     * instances the force touches, so w is the force's share of the
+     * wirelength pull where it acts.
      */
-    double freqWeight = 1.0;
+    double freqWeight = 0.3;
 
     /**
      * Frequency-force cutoff: pairs beyond
@@ -66,20 +65,12 @@ struct PlacerParams
     double freqCutoffFactor = 0.8;
 
     /**
-     * Cap on the frequency penalty: lambda_f stops growing past
-     * freqLambdaMaxFactor times its initial value. Keeps the engine in
-     * a stable compromise when full separation is infeasible (crowded
-     * spectra), instead of oscillating.
-     */
-    double freqLambdaMaxFactor = 300.0;
-
-    /**
      * Multi-die cut-crossing penalty weight (the "multidie.cutWeight"
      * knob): initial weight of the cut penalty relative to the
-     * wirelength gradient, like freqWeight. 0 disables the term; it is
-     * also inert unless the netlist carries an active die spec. Grows
-     * on the frequency-penalty schedule (freqLambdaGrowth, capped at
-     * freqLambdaMaxFactor x initial).
+     * wirelength gradient, set the first time a net crosses a cut. 0
+     * disables the term; it is also inert unless the netlist carries an
+     * active die spec. Grows 1.05x per iteration, capped at 300x its
+     * initial weight.
      */
     double cutWeight = 0.0;
 

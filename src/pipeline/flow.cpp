@@ -58,8 +58,8 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: placer.stopOverflow must be non-negative");
     check(placer.gammaFrac > 0.0,
           "FlowParams: placer.gammaFrac must be positive");
-    check(placer.lambdaGrowth >= 1.0 && placer.freqLambdaGrowth >= 1.0,
-          "FlowParams: penalty growth factors must be >= 1");
+    check(placer.lambdaGrowth >= 1.0,
+          "FlowParams: placer.lambdaGrowth must be >= 1");
     check(placer.bins >= 0, "FlowParams: placer.bins must be >= 0");
     check(placer.jitterFrac >= 0.0,
           "FlowParams: placer.jitterFrac must be non-negative");

@@ -145,16 +145,6 @@ void parallelFor(ThreadPool *pool, std::size_t n,
                  const std::function<void(std::size_t, std::size_t)> &body,
                  std::size_t serial_below = 0);
 
-/**
- * Sum of body(begin, end) over all chunks, accumulated in chunk-index
- * order so the result is deterministic for a fixed chunk count. Its
- * rounding depends on that count, so no placement kernel uses it.
- */
-double
-parallelReduce(ThreadPool *pool, std::size_t n,
-               const std::function<double(std::size_t, std::size_t)> &body,
-               std::size_t serial_below = 0);
-
 } // namespace qplacer
 
 #endif // QPLACER_UTIL_THREAD_POOL_HPP

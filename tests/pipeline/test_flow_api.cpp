@@ -77,10 +77,13 @@ TEST(FlowApi, ObserverSeesStagesInOrderWithIterationsInsidePlace)
     };
     EXPECT_EQ(observer.events, expected);
 
-    // One progress event per Nesterov iteration, 0-based and strictly
-    // increasing.
+    // One progress event per evaluated iterate, 0-based and strictly
+    // increasing. A converged (or plateau) exit evaluates iterate
+    // `iterations` and stops before stepping, so it reports one event
+    // more than the Nesterov steps counted in place.iterations.
+    ASSERT_EQ(r.place.stopReason, PlaceStopReason::Converged);
     ASSERT_EQ(observer.iterations.size(),
-              static_cast<std::size_t>(r.place.iterations));
+              static_cast<std::size_t>(r.place.iterations) + 1);
     for (std::size_t i = 0; i < observer.iterations.size(); ++i)
         EXPECT_EQ(observer.iterations[i], static_cast<int>(i));
     EXPECT_EQ(observer.lastOverflow, r.place.finalOverflow);
@@ -94,6 +97,27 @@ TEST(FlowApi, ObserverSeesStagesInOrderWithIterationsInsidePlace)
     for (const StageTiming &t : r.stageTimings)
         staged += t.seconds;
     EXPECT_LE(staged, r.seconds + 0.05);
+}
+
+TEST(FlowApi, ObserverSeesOneEventPerStepOnBudgetExit)
+{
+    PlacementSession session;
+    RecordingObserver observer;
+    session.setObserver(&observer);
+
+    // A budget below minIters can only end on max_iters, where every
+    // evaluated iterate was also stepped.
+    FlowParams params = quickParams(30);
+    ASSERT_LT(params.placer.maxIters, params.placer.minIters);
+    const FlowResult r = session.run(makeGrid(3, 3), params);
+    ASSERT_TRUE(r.status.ok()) << r.status.message;
+
+    EXPECT_EQ(r.place.stopReason, PlaceStopReason::MaxIters);
+    EXPECT_EQ(r.place.iterations, 30);
+    ASSERT_EQ(observer.iterations.size(),
+              static_cast<std::size_t>(r.place.iterations));
+    for (std::size_t i = 0; i < observer.iterations.size(); ++i)
+        EXPECT_EQ(observer.iterations[i], static_cast<int>(i));
 }
 
 TEST(FlowApi, HumanModeRunsManualLayoutStage)
