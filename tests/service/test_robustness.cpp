@@ -133,6 +133,22 @@ submitLine(const std::string &id, const std::string &topology,
            "},\"layout\":true" + extra + "}";
 }
 
+/**
+ * A grid5x5 job pinned to 4000 global-placement iterations
+ * (placer.minIters = placer.maxIters), so it runs for about a second
+ * however early the placer converges: far past any budget or cancel
+ * delay below.
+ */
+std::string
+slowSubmitLine(const std::string &id, const std::string &extra = "")
+{
+    return "{\"type\":\"submit\",\"id\":\"" + id +
+           "\",\"topology\":\"grid5x5\",\"seed\":1,\"set\":{"
+           "\"placer.maxIters\":4000,\"placer.minIters\":4000},"
+           "\"layout\":true" +
+           extra + "}";
+}
+
 std::string
 statusCode(const JsonValue &result)
 {
@@ -199,8 +215,7 @@ TEST(Robustness, PerJobDeadlineReportsDeadlineExceeded)
 {
     Loopback client;
     // A job far larger than its 25 ms execution budget.
-    EXPECT_TRUE(client.send(submitLine("late", "grid5x5", 1, 4000,
-                                       ",\"deadline_ms\":25")));
+    EXPECT_TRUE(client.send(slowSubmitLine("late", ",\"deadline_ms\":25")));
     client.server().drain();
 
     const JsonValue result = client.resultFor("late");
@@ -215,7 +230,7 @@ TEST(Robustness, DefaultDeadlineAppliesWhenJobCarriesNone)
     ServerOptions options;
     options.defaultDeadlineMs = 25.0;
     Loopback client(options);
-    EXPECT_TRUE(client.send(submitLine("late", "grid5x5", 1, 4000)));
+    EXPECT_TRUE(client.send(slowSubmitLine("late")));
     // A job under its deadline still completes normally.
     EXPECT_TRUE(client.send(submitLine("fast", "grid3x3", 1, 10,
                                        ",\"deadline_ms\":60000")));
@@ -230,8 +245,8 @@ TEST(Robustness, ClientCancelStillReportsCancelled)
     // Regression guard for the deadline rewrite: a *user* cancel of a
     // deadlined job that never hit its deadline stays "cancelled".
     Loopback client;
-    EXPECT_TRUE(client.send(submitLine("slow", "grid5x5", 1, 4000,
-                                       ",\"deadline_ms\":600000")));
+    EXPECT_TRUE(
+        client.send(slowSubmitLine("slow", ",\"deadline_ms\":600000")));
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_TRUE(client.server().cancel("slow"));
     client.server().drain();

@@ -116,6 +116,22 @@ submitLine(const std::string &id, const std::string &topology,
            "},\"layout\":true" + extra + "}";
 }
 
+/**
+ * A grid5x5 job pinned to 4000 global-placement iterations
+ * (placer.minIters = placer.maxIters), so it runs for about a second
+ * however early the placer converges: far past any budget or cancel
+ * delay below.
+ */
+std::string
+slowSubmitLine(const std::string &id, const std::string &extra = "")
+{
+    return "{\"type\":\"submit\",\"id\":\"" + id +
+           "\",\"topology\":\"grid5x5\",\"seed\":1,\"set\":{"
+           "\"placer.maxIters\":4000,\"placer.minIters\":4000},"
+           "\"layout\":true" +
+           extra + "}";
+}
+
 /** Serial reference for the bitwise contract: one-shot, 1 thread. */
 std::string
 serialLayout(const Topology &topo, std::uint64_t seed, int max_iters)
@@ -180,8 +196,7 @@ TEST(Server, CancelRunningJob)
 {
     Loopback client;
     // A job big enough to still be mid-placement when we cancel.
-    EXPECT_TRUE(client.send(submitLine("slow", "grid5x5", 1, 4000,
-                                       ",\"progress\":1")));
+    EXPECT_TRUE(client.send(slowSubmitLine("slow", ",\"progress\":1")));
     ASSERT_TRUE(client.waitFor([](const std::vector<JsonValue> &rs) {
         for (const JsonValue &r : rs) {
             const JsonValue *e = r.find("event");
