@@ -1,5 +1,6 @@
 #include "core/poisson.hpp"
 
+#include <algorithm>
 #include <numbers>
 
 #include "math/plan_cache.hpp"
@@ -68,22 +69,25 @@ PoissonSolver::solve() const
     fx.resize(cells);
     fy.resize(cells);
     const double norm = 1.0 / (static_cast<double>(nx_) * ny_);
+    const std::size_t nx = static_cast<std::size_t>(nx_);
     parallelFor(
-        pool_, cells,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const int u = static_cast<int>(i % nx_);
-                const int v = static_cast<int>(i / nx_);
-                double psi_coeff = 0.0;
-                if (u != 0 || v != 0) {
-                    const double w2 = wu_[u] * wu_[u] + wv_[v] * wv_[v];
-                    psi_coeff = coeff[i] * norm / w2;
+        pool_, static_cast<std::size_t>(ny_),
+        [&](std::size_t v_begin, std::size_t v_end) {
+            for (std::size_t v = v_begin; v < v_end; ++v) {
+                const double wv = wv_[v];
+                for (std::size_t u = 0; u < nx; ++u) {
+                    const std::size_t i = v * nx + u;
+                    double psi_coeff = 0.0;
+                    if (u != 0 || v != 0) {
+                        const double w2 = wu_[u] * wu_[u] + wv * wv;
+                        psi_coeff = coeff[i] * norm / w2;
+                    }
+                    fx[i] = wu_[u] * psi_coeff;
+                    fy[i] = wv * psi_coeff;
                 }
-                fx[i] = wu_[u] * psi_coeff;
-                fy[i] = wv_[v] * psi_coeff;
             }
         },
-        ThreadPool::kGrainFine);
+        std::max<std::size_t>(1, ThreadPool::kGrainFine / nx));
 
     // xi_x: sine series in x, cosine series in y; xi_y the transpose.
     rows(fx, Kind::SinSeries);

@@ -14,7 +14,12 @@
  *
  * The solver grabs the cached DctPlans for its row/column lengths at
  * construction and runs every transform pass through them with owned,
- * reusable scratch (see math/dct_plan). Its input and output maps are
+ * reusable scratch (see math/dct_plan). The passes transform eight
+ * lines at a time in split-format lanes: a column pass reads eight
+ * adjacent columns as contiguous row segments of the map, with no
+ * strided gather, and a row pass transposes eight rows into a block.
+ * Each lane repeats the single-line kernel's operations in its order,
+ * so batching changes no bit. Its input and output maps are
  * solver-owned too, so after the first solve nothing allocates. The
  * plan-free solve that also synthesizes psi is the tests' oracle
  * (tests/oracles/spectral); the field maps match it bit for bit.

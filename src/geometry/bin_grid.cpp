@@ -120,11 +120,17 @@ BinGrid::splat(const Footprint &fp, double amount, int row_begin,
     if (total_area <= 0.0)
         return;
     for (int iy = iy0; iy <= iy1; ++iy) {
+        const double dy = overlapY(iy, r);
+        if (!(dy > 0.0))
+            continue;
+        double *row = data_.data() + static_cast<std::size_t>(iy) * nx_;
         for (int ix = fp.ix0; ix <= fp.ix1; ++ix) {
-            const double w = binRect(ix, iy).overlapArea(r) / total_area;
+            const double dx = overlapX(ix, r);
+            if (!(dx > 0.0))
+                continue;
+            const double w = dx * dy / total_area;
             if (w > 0.0)
-                data_[static_cast<std::size_t>(iy) * nx_ + ix] +=
-                    amount * w;
+                row[ix] += amount * w;
         }
     }
 }
@@ -147,9 +153,12 @@ BinGrid::sample(const Footprint &fp, const double *mapX,
     double acc_y = 0.0;
     double wsum = 0.0;
     for (int iy = fp.iy0; iy <= fp.iy1; ++iy) {
+        const double dy = overlapY(iy, r);
+        const std::size_t k0 = static_cast<std::size_t>(iy) * nx_;
         for (int ix = fp.ix0; ix <= fp.ix1; ++ix) {
-            const double w = binRect(ix, iy).overlapArea(r);
-            const std::size_t k = static_cast<std::size_t>(iy) * nx_ + ix;
+            const double dx = overlapX(ix, r);
+            const double w = dx > 0.0 && dy > 0.0 ? dx * dy : 0.0;
+            const std::size_t k = k0 + ix;
             acc_x += w * mapX[k];
             acc_y += w * mapY[k];
             wsum += w;

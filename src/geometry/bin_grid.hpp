@@ -6,11 +6,20 @@
  * legalizers reuse it as an occupancy map. Bin counts are powers of two so
  * the spectral Poisson solver can run FFT-based transforms directly on the
  * density map.
+ *
+ * splat() and sample() weight a bin by its overlap with a footprint,
+ * and that overlap is separable: the row overlap dy is computed once
+ * per row and the column overlap dx per column, and the weight is
+ * dx*dy when both are positive, else 0. These are the operands, in the
+ * order, of binRect(ix, iy).overlapArea(r), so the weights are bitwise
+ * equal to the per-bin rectangle intersection (tests/geometry/
+ * test_bin_grid.cpp holds them to memcmp equality).
  */
 
 #ifndef QPLACER_GEOMETRY_BIN_GRID_HPP
 #define QPLACER_GEOMETRY_BIN_GRID_HPP
 
+#include <algorithm>
 #include <vector>
 
 #include "geometry/rect.hpp"
@@ -110,6 +119,25 @@ class BinGrid
     double total() const;
 
   private:
+    /**
+     * Overlap of column @p ix with @p r along x: the width of
+     * binRect(ix, iy).intersect(r), same operands, same order.
+     */
+    double
+    overlapX(int ix, const Rect &r) const
+    {
+        const double x0 = region_.lo.x + ix * binW_;
+        return std::min(x0 + binW_, r.hi.x) - std::max(x0, r.lo.x);
+    }
+
+    /** Overlap of row @p iy with @p r along y, ditto. */
+    double
+    overlapY(int iy, const Rect &r) const
+    {
+        const double y0 = region_.lo.y + iy * binH_;
+        return std::min(y0 + binH_, r.hi.y) - std::max(y0, r.lo.y);
+    }
+
     /** Clamp @p r into the region, preserving area by shifting. */
     Rect clampRect(const Rect &r) const;
 

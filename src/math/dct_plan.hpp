@@ -1,7 +1,8 @@
 /**
  * @file
  * 1-D cosine/sine transforms on the radix-2 FFT (Makhoul's method),
- * executed through a precomputed plan (FFTW-style).
+ * executed through a precomputed plan (FFTW-style) on batches of
+ * lines.
  *
  * These are the kernels behind the spectral Poisson solver used by the
  * electrostatic density force (ePlace-style):
@@ -15,23 +16,36 @@
  * half-sample grid; SinSeries is its x-derivative counterpart (used for
  * the electric field). All lengths must be powers of two.
  *
- * A DctPlan is built once per transform length and holds:
+ * A DctPlan is built once per transform length and holds an FftPlan
+ * (bit-reversal pairs + per-stage FFT twiddles) and the forward/inverse
+ * Makhoul post/pre-twiddles e^(+-i*pi*k/(2N)) as plain doubles. The
+ * only entries are the row and column passes over a row-major map;
+ * both run kLanes lines at a time through one lane-batched kernel on
+ * the split-format FftPlan:
  *
- *  - an FftPlan (bit-reversal pairs + per-stage FFT twiddles), and
- *  - the forward/inverse Makhoul post/pre-twiddles e^(+-i*pi*k/(2N)),
+ *  - transformCols reads kLanes adjacent columns straight from the map,
+ *    one contiguous 64-byte row segment per sample: no strided gather;
+ *  - transformRows transposes kLanes rows into a block and back.
  *
- * while a DctScratch provides per-chunk reusable buffers so the
- * batched row/column passes transform in place without a single
- * allocation after warm-up. The plan-free kernels, which allocate a
- * workspace and re-derive every twiddle per call, and the O(N^2)
- * direct sums live with the tests as their oracles
- * (tests/oracles/spectral); every plan kernel is bitwise-identical to
- * its plan-free counterpart (ctest -L plan).
+ * A map with fewer lines than lanes (length 1, 2 or 4) fills the unused
+ * lanes with zeros, so there is no scalar remainder path. The Makhoul
+ * twiddles are complex products written out (a*c - b*d, a*d + b*c, in
+ * std::complex's operand order), and every lane runs the same IEEE
+ * operations in the same order as the single-line plan-free kernels,
+ * with no operation mixing lanes; so every line's result is
+ * bitwise-identical to those kernels, which live with the tests as
+ * their oracles together with the O(N^2) direct sums
+ * (tests/oracles/spectral; ctest -L plan).
+ *
+ * A DctScratch provides per-chunk reusable buffers so the passes
+ * transform without a single allocation after warm-up.
  *
  * Thread-safety: a plan is immutable and may be shared freely (see
  * PlanCache); a DctScratch must be owned by one transform call chain
- * at a time -- the batched passes hand lane @c c to chunk @c c, which
- * keeps lanes race-free under the deterministic chunked parallel-for.
+ * at a time -- the passes hand workspace @c c to chunk @c c, which
+ * keeps them race-free under the deterministic chunked parallel-for.
+ * Lines never interact, so the result is bitwise-identical for any
+ * thread count.
  */
 
 #ifndef QPLACER_MATH_DCT_PLAN_HPP
@@ -50,28 +64,29 @@ class DctScratch
 {
   public:
     /** Buffers one executing chunk (thread) transforms through. */
-    struct Lane
+    struct Chunk
     {
-        std::vector<Complex> spectrum; ///< FFT workspace.
-        std::vector<double> line; ///< Column gather/scatter row.
-        std::vector<double> flip; ///< sinSeries coefficient reversal.
+        std::vector<double> re; ///< FFT workspace, real parts.
+        std::vector<double> im; ///< FFT workspace, imaginary parts.
+        std::vector<double> block; ///< Row transpose / partial block.
     };
 
     /**
-     * Grow to at least @p lanes lanes. Called by the batched passes
+     * Grow to at least @p chunks workspaces. Called by the passes
      * before entering the parallel region; buffers keep their capacity
      * across calls, so steady-state transforms allocate nothing.
      */
-    void ensure(int lanes);
+    void ensure(int chunks);
 
-    /** Lane for chunk @p chunk (valid after ensure()). */
-    Lane &lane(int chunk) { return lanes_[static_cast<std::size_t>(chunk)]; }
-
-    /** Lanes currently available. */
-    int lanes() const { return static_cast<int>(lanes_.size()); }
+    /** Workspace of chunk @p chunk (valid after ensure()). */
+    Chunk &
+    chunk(int chunk)
+    {
+        return chunks_[static_cast<std::size_t>(chunk)];
+    }
 
   private:
-    std::vector<Lane> lanes_;
+    std::vector<Chunk> chunks_;
 };
 
 /** Plan for every DCT/DST kernel at one transform length. */
@@ -87,6 +102,9 @@ class DctPlan
         SinSeries,
     };
 
+    /** Lines one kernel call transforms side by side. */
+    static constexpr std::size_t kLanes = FftPlan::kLanes;
+
     /** Build tables for length @p n (must be a power of two). */
     explicit DctPlan(std::size_t n);
 
@@ -94,43 +112,44 @@ class DctPlan
     std::size_t length() const { return n_; }
 
     /**
-     * Apply @p kind in place to x[0..length()), working through
-     * @p lane.
-     */
-    void apply(Kind kind, double *x, DctScratch::Lane &lane) const;
-
-    /**
      * Apply @p kind along every length-@p nx row of the row-major
-     * @p ny x @p nx map (requires nx == length()), rows chunked
-     * across @p pool (null = serial) with one scratch lane per chunk.
-     * Rows are independent, so the result is bitwise-identical for any
-     * thread count.
+     * @p ny x @p nx map (requires nx == length()), kLanes rows per
+     * block, blocks chunked across @p pool (null = serial) with one
+     * scratch workspace per chunk.
      */
     void transformRows(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
                        DctScratch &scratch) const;
 
     /**
-     * Column-wise counterpart (requires ny == length()); each chunk
-     * gathers columns through its lane's reusable line buffer instead
-     * of allocating per-column vectors.
+     * Column-wise counterpart (requires ny == length()); a block is
+     * kLanes adjacent columns, transformed in place in the map.
      */
     void transformCols(std::vector<double> &map, int nx, int ny,
                        Kind kind, ThreadPool *pool,
                        DctScratch &scratch) const;
 
   private:
-    void dct2(double *x, DctScratch::Lane &lane) const;
-    void idct2(double *x, DctScratch::Lane &lane) const;
-    void cosSeries(double *x, DctScratch::Lane &lane) const;
-    void sinSeries(double *x, DctScratch::Lane &lane) const;
+    /**
+     * Apply @p kind in place to kLanes lines at once: sample e of
+     * line l is x[e*stride + l] (stride >= kLanes).
+     */
+    void applyLanes(Kind kind, double *x, std::size_t stride,
+                    DctScratch::Chunk &ws) const;
+
+    void dct2(double *x, std::size_t stride, DctScratch::Chunk &ws) const;
+    /** Idct2, CosSeries and SinSeries: one inverse FFT each. */
+    void inverse(Kind kind, double *x, std::size_t stride,
+                 DctScratch::Chunk &ws) const;
 
     std::size_t n_;
     FftPlan fft_;
     /** Forward Makhoul twiddles e^(-i*pi*k/(2N)), k = 0..N-1. */
-    std::vector<Complex> fwdTwiddle_;
+    std::vector<double> fwdRe_;
+    std::vector<double> fwdIm_;
     /** Inverse Makhoul twiddles e^(+i*pi*k/(2N)). */
-    std::vector<Complex> invTwiddle_;
+    std::vector<double> invRe_;
+    std::vector<double> invIm_;
 };
 
 } // namespace qplacer

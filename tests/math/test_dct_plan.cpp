@@ -4,14 +4,19 @@
  * path must be *bitwise*-identical (memcmp, not just EXPECT_DOUBLE_EQ)
  * to the plan-free kernels of tests/oracles/spectral, over random
  * inputs at every power-of-two length from 2 to 1024 and across thread
- * counts. This is the contract that lets the Poisson solver run on
- * plans without perturbing a single placement.
+ * counts. The plans transform eight lines per kernel call, so every
+ * lane is checked on its own: distinct data per lane, a non-finite
+ * value confined to its lane, maps with fewer lines than lanes, and
+ * rectangular maps both ways. This is the contract that lets the
+ * Poisson solver run on plans without perturbing a single placement.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/poisson.hpp"
@@ -25,6 +30,7 @@
 namespace qplacer {
 namespace {
 
+using oracle::Complex;
 using oracle::Dct;
 using oracle::Fft;
 
@@ -61,30 +67,117 @@ constexpr Dct::Kind kKinds[] = {Dct::Kind::Dct2, Dct::Kind::Idct2,
                                 Dct::Kind::CosSeries,
                                 Dct::Kind::SinSeries};
 
+constexpr std::size_t kLanes = DctPlan::kLanes;
+
+/**
+ * One line through the batch kernel: a 1-row map, so the other seven
+ * lanes of its block are zero padding.
+ */
+std::vector<double>
+applyOneLine(const DctPlan &plan, Dct::Kind kind, std::vector<double> x,
+             DctScratch &scratch)
+{
+    plan.transformRows(x, static_cast<int>(x.size()), 1, kind, nullptr,
+                       scratch);
+    return x;
+}
+
+/** kLanes distinct random lines of length @p n. */
+std::vector<std::vector<double>>
+randomLines(std::size_t n, std::uint64_t seed)
+{
+    std::vector<std::vector<double>> lines;
+    for (std::size_t l = 0; l < kLanes; ++l)
+        lines.push_back(randomVector(n, seed + 17 * l));
+    return lines;
+}
+
+/** The lines as the rows of a row-major kLanes x n map. */
+std::vector<double>
+asRows(const std::vector<std::vector<double>> &lines)
+{
+    std::vector<double> map;
+    for (const auto &line : lines)
+        map.insert(map.end(), line.begin(), line.end());
+    return map;
+}
+
+/** Row @p l of a row-major map with rows of length @p n. */
+std::vector<double>
+row(const std::vector<double> &map, std::size_t n, std::size_t l)
+{
+    return {map.begin() + static_cast<std::ptrdiff_t>(l * n),
+            map.begin() + static_cast<std::ptrdiff_t>((l + 1) * n)};
+}
+
+/** The lines as the columns of a row-major n x kLanes map. */
+std::vector<double>
+asCols(const std::vector<std::vector<double>> &lines)
+{
+    const std::size_t n = lines.front().size();
+    std::vector<double> map(n * kLanes);
+    for (std::size_t e = 0; e < n; ++e)
+        for (std::size_t l = 0; l < kLanes; ++l)
+            map[e * kLanes + l] = lines[l][e];
+    return map;
+}
+
+/** Column @p l of a row-major n x kLanes map. */
+std::vector<double>
+col(const std::vector<double> &map, std::size_t l)
+{
+    std::vector<double> out;
+    for (std::size_t e = 0; e * kLanes < map.size(); ++e)
+        out.push_back(map[e * kLanes + l]);
+    return out;
+}
+
 class PlanSizes : public ::testing::TestWithParam<std::size_t>
 {
 };
 
 TEST_P(PlanSizes, FftPlanMatchesFftBitwise)
 {
+    // Eight distinct sequences in split format, each lane checked
+    // against its own plan-free transform.
     const std::size_t n = GetParam();
-    const auto re = randomVector(n, 100 + n);
-    const auto im = randomVector(n, 200 + n);
-    std::vector<Complex> reference(n);
-    for (std::size_t i = 0; i < n; ++i)
-        reference[i] = Complex(re[i], im[i]);
-    std::vector<Complex> planned = reference;
+    std::vector<std::vector<Complex>> reference(kLanes);
+    std::vector<double> re(n * kLanes);
+    std::vector<double> im(n * kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        const auto lr = randomVector(n, 100 + n + 31 * l);
+        const auto li = randomVector(n, 200 + n + 31 * l);
+        for (std::size_t e = 0; e < n; ++e) {
+            reference[l].emplace_back(lr[e], li[e]);
+            re[e * kLanes + l] = lr[e];
+            im[e * kLanes + l] = li[e];
+        }
+    }
+    const auto lanesMatch = [&] {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            for (std::size_t e = 0; e < n; ++e) {
+                const double want[2] = {reference[l][e].real(),
+                                        reference[l][e].imag()};
+                const double got[2] = {re[e * kLanes + l],
+                                       im[e * kLanes + l]};
+                if (std::memcmp(want, got, sizeof want) != 0)
+                    return ::testing::AssertionFailure()
+                           << "lane " << l << " element " << e;
+            }
+        }
+        return ::testing::AssertionSuccess();
+    };
 
     const FftPlan plan(n);
-    Fft::forward(reference);
-    plan.forward(planned.data());
-    ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Complex)));
+    for (auto &lane : reference)
+        Fft::forward(lane);
+    plan.forward(re.data(), im.data());
+    ASSERT_TRUE(lanesMatch());
 
-    Fft::inverse(reference);
-    plan.inverse(planned.data());
-    ASSERT_EQ(0, std::memcmp(reference.data(), planned.data(),
-                             n * sizeof(Complex)));
+    for (auto &lane : reference)
+        Fft::inverse(lane);
+    plan.inverse(re.data(), im.data());
+    ASSERT_TRUE(lanesMatch());
 }
 
 TEST_P(PlanSizes, ApplyMatchesDctKernelsBitwise)
@@ -92,32 +185,90 @@ TEST_P(PlanSizes, ApplyMatchesDctKernelsBitwise)
     const std::size_t n = GetParam();
     const DctPlan plan(n);
     DctScratch scratch;
-    scratch.ensure(1);
     for (const Dct::Kind kind : kKinds) {
         const auto x =
             randomVector(n, 300 + n + static_cast<std::size_t>(kind));
-        const std::vector<double> reference = Dct::apply(kind, x);
-        std::vector<double> planned = x;
-        plan.apply(kind, planned.data(), scratch.lane(0));
-        EXPECT_TRUE(bitwiseEqual(reference, planned))
+        EXPECT_TRUE(bitwiseEqual(Dct::apply(kind, x),
+                                 applyOneLine(plan, kind, x, scratch)))
             << "kind " << static_cast<int>(kind) << " length " << n;
     }
 }
 
 TEST_P(PlanSizes, ScratchLaneReuseIsStateless)
 {
-    // Back-to-back transforms through one lane (as the batched passes
-    // do) must not see stale state from the previous line.
+    // Back-to-back transforms through one scratch (as the passes do)
+    // must not see stale state from the previous block.
     const std::size_t n = GetParam();
     const DctPlan plan(n);
     DctScratch scratch;
-    scratch.ensure(1);
     for (int round = 0; round < 3; ++round) {
         for (const Dct::Kind kind : kKinds) {
             const auto x = randomVector(n, 400 + n + round);
-            std::vector<double> planned = x;
-            plan.apply(kind, planned.data(), scratch.lane(0));
-            EXPECT_TRUE(bitwiseEqual(Dct::apply(kind, x), planned));
+            EXPECT_TRUE(bitwiseEqual(Dct::apply(kind, x),
+                                     applyOneLine(plan, kind, x, scratch)));
+        }
+    }
+}
+
+TEST_P(PlanSizes, EveryLaneMatchesDctKernelsBitwise)
+{
+    // Eight distinct lines fill one block exactly, as rows (transposed
+    // in) and as columns (transformed in place in the map).
+    const std::size_t n = GetParam();
+    const DctPlan plan(n);
+    DctScratch scratch;
+    const int len = static_cast<int>(n);
+    const int lanes = static_cast<int>(kLanes);
+    for (const Dct::Kind kind : kKinds) {
+        const auto lines =
+            randomLines(n, 1000 + n + 100 * static_cast<std::size_t>(kind));
+        std::vector<double> rows = asRows(lines);
+        std::vector<double> cols = asCols(lines);
+        plan.transformRows(rows, len, lanes, kind, nullptr, scratch);
+        plan.transformCols(cols, lanes, len, kind, nullptr, scratch);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const std::vector<double> reference = Dct::apply(kind, lines[l]);
+            EXPECT_TRUE(bitwiseEqual(reference, row(rows, n, l)))
+                << "rows: kind " << static_cast<int>(kind) << " lane " << l;
+            EXPECT_TRUE(bitwiseEqual(reference, col(cols, l)))
+                << "cols: kind " << static_cast<int>(kind) << " lane " << l;
+        }
+    }
+}
+
+TEST_P(PlanSizes, NonFiniteLaneLeavesOtherLanesBitwise)
+{
+    // No operation mixes lanes: a NaN or Inf in one line leaves the
+    // other seven exactly as the plan-free kernel computes them.
+    const std::size_t n = GetParam();
+    const DctPlan plan(n);
+    DctScratch scratch;
+    const int len = static_cast<int>(n);
+    const int lanes = static_cast<int>(kLanes);
+    const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()};
+    for (const Dct::Kind kind : kKinds) {
+        for (const double poison : poisons) {
+            const std::size_t bad = 3;
+            auto lines = randomLines(n, 2000 + n);
+            std::vector<std::vector<double>> reference;
+            for (const auto &line : lines)
+                reference.push_back(Dct::apply(kind, line));
+            lines[bad][n / 2] = poison;
+            std::vector<double> rows = asRows(lines);
+            std::vector<double> cols = asCols(lines);
+            plan.transformRows(rows, len, lanes, kind, nullptr, scratch);
+            plan.transformCols(cols, lanes, len, kind, nullptr, scratch);
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                if (l == bad)
+                    continue;
+                EXPECT_TRUE(bitwiseEqual(reference[l], row(rows, n, l)))
+                    << "rows: kind " << static_cast<int>(kind)
+                    << " poison " << poison << " lane " << l;
+                EXPECT_TRUE(bitwiseEqual(reference[l], col(cols, l)))
+                    << "cols: kind " << static_cast<int>(kind)
+                    << " poison " << poison << " lane " << l;
+            }
         }
     }
 }
@@ -125,6 +276,51 @@ TEST_P(PlanSizes, ScratchLaneReuseIsStateless)
 INSTANTIATE_TEST_SUITE_P(Sizes, PlanSizes,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256,
                                            512, 1024));
+
+TEST(PlanFewLines, RowsColsAndSolveBelowOneBlock)
+{
+    // Maps with fewer lines than lanes (1, 2 or 4) pad the unused
+    // lanes with zeros; the real lines match the per-line kernels.
+    for (const int lines : {1, 2, 4}) {
+        for (const int len : {1, 2, 4, 32}) {
+            for (const Dct::Kind kind : kKinds) {
+                const auto map = randomVector(
+                    static_cast<std::size_t>(lines) * len,
+                    3000 + 10 * lines + len);
+                std::vector<double> reference = map;
+                std::vector<double> planned = map;
+                Dct::transformRowsUnplanned(reference, len, lines, kind,
+                                            nullptr);
+                Dct::transformRows(planned, len, lines, kind, nullptr);
+                EXPECT_TRUE(bitwiseEqual(reference, planned))
+                    << "rows: " << lines << " x " << len << " kind "
+                    << static_cast<int>(kind);
+                reference = map;
+                planned = map;
+                Dct::transformColsUnplanned(reference, lines, len, kind,
+                                            nullptr);
+                Dct::transformCols(planned, lines, len, kind, nullptr);
+                EXPECT_TRUE(bitwiseEqual(reference, planned))
+                    << "cols: " << len << " x " << lines << " kind "
+                    << static_cast<int>(kind);
+            }
+        }
+    }
+    for (const int nx : {1, 2, 4, 64}) {
+        for (const int ny : {1, 2, 4, 64}) {
+            const auto density = randomVector(
+                static_cast<std::size_t>(nx) * ny, 3100 + 10 * nx + ny);
+            const PoissonSolver planned(nx, ny, 300.0, 500.0);
+            const oracle::Poisson unplanned(nx, ny, 300.0, 500.0, nullptr);
+            const PoissonSolver::Solution &a = planned.solve(density);
+            const oracle::Poisson::Solution b = unplanned.solve(density);
+            EXPECT_TRUE(bitwiseEqual(a.fieldX, b.fieldX))
+                << nx << " x " << ny;
+            EXPECT_TRUE(bitwiseEqual(a.fieldY, b.fieldY))
+                << nx << " x " << ny;
+        }
+    }
+}
 
 class PlanThreads : public ::testing::TestWithParam<int>
 {
@@ -210,8 +406,9 @@ TEST_P(PlanThreads, RepeatedSolvesReuseScratchBitwise)
     EXPECT_TRUE(bitwiseEqual(first.fieldY, again.fieldY));
 }
 
+// Three threads split 16 blocks unevenly across chunks.
 INSTANTIATE_TEST_SUITE_P(Threads, PlanThreads,
-                         ::testing::Values(1, 2, 8));
+                         ::testing::Values(1, 2, 3, 8));
 
 TEST(PlanCache, SharesOnePlanPerLength)
 {
@@ -225,24 +422,34 @@ TEST(PlanCache, SharesOnePlanPerLength)
 TEST(PlanCache, RectangularMapsUseBothLengths)
 {
     // A non-square map exercises distinct row/column plans through one
-    // shared scratch, mirroring a rectangular Poisson grid.
-    const int nx = 32;
-    const int ny = 256;
-    const auto map =
-        randomVector(static_cast<std::size_t>(nx) * ny, 900);
-    std::vector<double> reference = map;
-    std::vector<double> planned = map;
-    Dct::transformRowsUnplanned(reference, nx, ny, Dct::Kind::Dct2,
-                                nullptr);
-    Dct::transformColsUnplanned(reference, nx, ny, Dct::Kind::CosSeries,
-                                nullptr);
-    DctScratch scratch;
-    PlanCache::dct(nx)->transformRows(planned, nx, ny, Dct::Kind::Dct2,
-                                      nullptr, scratch);
-    PlanCache::dct(ny)->transformCols(planned, nx, ny,
-                                      Dct::Kind::CosSeries, nullptr,
-                                      scratch);
-    EXPECT_TRUE(bitwiseEqual(reference, planned));
+    // shared scratch, mirroring a rectangular Poisson grid; both
+    // orientations, every kind, and the solve itself.
+    for (const auto &[nx, ny] : {std::pair{32, 256}, std::pair{256, 32}}) {
+        DctScratch scratch;
+        for (const Dct::Kind kind : kKinds) {
+            const auto map = randomVector(
+                static_cast<std::size_t>(nx) * ny,
+                900 + static_cast<std::size_t>(kind));
+            std::vector<double> reference = map;
+            std::vector<double> planned = map;
+            Dct::transformRowsUnplanned(reference, nx, ny, kind, nullptr);
+            Dct::transformColsUnplanned(reference, nx, ny, kind, nullptr);
+            PlanCache::dct(nx)->transformRows(planned, nx, ny, kind,
+                                              nullptr, scratch);
+            PlanCache::dct(ny)->transformCols(planned, nx, ny, kind,
+                                              nullptr, scratch);
+            EXPECT_TRUE(bitwiseEqual(reference, planned))
+                << nx << " x " << ny << " kind " << static_cast<int>(kind);
+        }
+        const auto density =
+            randomVector(static_cast<std::size_t>(nx) * ny, 950);
+        const PoissonSolver solver(nx, ny, 1000.0, 3000.0);
+        const oracle::Poisson unplanned(nx, ny, 1000.0, 3000.0, nullptr);
+        const PoissonSolver::Solution &a = solver.solve(density);
+        const oracle::Poisson::Solution b = unplanned.solve(density);
+        EXPECT_TRUE(bitwiseEqual(a.fieldX, b.fieldX)) << nx << " x " << ny;
+        EXPECT_TRUE(bitwiseEqual(a.fieldY, b.fieldY)) << nx << " x " << ny;
+    }
 }
 
 TEST(Plan, NonPowerOfTwoLengthPanics)

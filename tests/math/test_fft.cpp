@@ -9,6 +9,7 @@
 namespace qplacer {
 namespace {
 
+using oracle::Complex;
 using oracle::Fft;
 
 TEST(Fft, PowerOfTwoDetection)

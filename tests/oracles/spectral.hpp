@@ -19,16 +19,19 @@
 #ifndef QPLACER_TESTS_ORACLES_SPECTRAL_HPP
 #define QPLACER_TESTS_ORACLES_SPECTRAL_HPP
 
+#include <complex>
 #include <vector>
 
 #include "math/dct_plan.hpp"
-#include "math/fft_plan.hpp"
 
 namespace qplacer {
 
 class ThreadPool;
 
 namespace oracle {
+
+/** Sample type of the plan-free FFT. */
+using Complex = std::complex<double>;
 
 /** In-place iterative radix-2 FFT over power-of-two-length data. */
 class Fft
