@@ -8,6 +8,8 @@
 #     must be in kKnownSetKeys (no stale rows for deleted knobs).
 #  2. The service documentation set must exist and be linked from
 #     BUILDING.md.
+#  3. Every bench_<x> named in BUILDING.md, docs/*.md or the nightly
+#     workflow must have its source, bench/<x>.cpp.
 #
 # Run from the repository root: scripts/check_knob_docs.sh
 
@@ -94,6 +96,22 @@ for doc in docs/ARCHITECTURE.md docs/PROTOCOL.md docs/REPORT_SCHEMA.md; do
         fail=1
     fi
 done
+
+# Every bench_<x> executable the docs or the nightly workflow name must
+# still have its source, bench/<x>.cpp (no dangling references to a
+# deleted driver).
+nightly=.github/workflows/nightly.yml
+count=0
+for named in $(grep -o -h -E 'bench_[a-z0-9_]+' "$building" docs/*.md "$nightly" |
+               sort -u); do
+    count=$((count + 1))
+    driver=${named#bench_}
+    if [[ ! -f "bench/$driver.cpp" ]]; then
+        echo "FAIL: '$named' is named in the docs or $nightly, but bench/$driver.cpp does not exist" >&2
+        fail=1
+    fi
+done
+echo "checked $count bench_<x> names against bench/"
 
 if [[ "$fail" -ne 0 ]]; then
     echo "doc lint failed" >&2

@@ -169,7 +169,7 @@ solveAssignment(const std::vector<Vec2> &desired,
     return assignment;
 }
 
-/** Dense candidates: every item may take every site, in index order. */
+/** Every item may take every site, in index order (k >= n). */
 Candidates
 everySite(int n)
 {
@@ -179,9 +179,9 @@ everySite(int n)
 }
 
 /**
- * Sparse candidates: item i may take its k nearest sites plus its own
- * site. The own-site arc keeps the identity assignment feasible, so
- * the flow always saturates.
+ * Item i may take its k nearest sites plus its own site (k < n). The
+ * own-site arc keeps the identity assignment feasible, so the flow
+ * always saturates.
  */
 Candidates
 nearestSites(const std::vector<Vec2> &desired,
@@ -216,22 +216,18 @@ nearestSites(const std::vector<Vec2> &desired,
 
 std::vector<int>
 refineAssignment(const std::vector<Vec2> &desired,
-                 const std::vector<Vec2> &sites,
-                 const FlowRefineOptions &options)
+                 const std::vector<Vec2> &sites, int neighbors)
 {
     const int n = static_cast<int>(desired.size());
     if (static_cast<int>(sites.size()) != n)
         panic("refineAssignment: item/site count mismatch");
     if (n == 0)
         return {};
-    if (options.neighbors < 1)
+    if (neighbors < 1)
         panic("refineAssignment: neighbors must be at least 1");
 
-    const bool sparse =
-        n > options.sparseThreshold && options.neighbors < n;
     const Candidates candidates =
-        sparse ? nearestSites(desired, sites, options.neighbors)
-               : everySite(n);
+        neighbors < n ? nearestSites(desired, sites, neighbors) : everySite(n);
     if (certifyIdentity(desired, sites, candidates)) {
         std::vector<int> identity(n);
         std::iota(identity.begin(), identity.end(), 0);

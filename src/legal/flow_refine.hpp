@@ -6,13 +6,15 @@
  * placement positions is minimized. Qubits share one footprint, so any
  * permutation of sites stays legal.
  *
- * The candidate arcs of item i are every site (in index order) up to
- * FlowRefineOptions::sparseThreshold items, and above it its k nearest
- * pooled sites (CellList::kNearest, nearest first, ties to the lower
- * site index, so each list is unique) plus its own spiral site; the
- * own-site arc keeps the identity feasible, so the sparse solve never
- * fails -- it is simply allowed to return a (near-optimal) assignment
- * instead of the exact optimum.
+ * The candidate arcs of item i are its k nearest pooled sites
+ * (CellList::kNearest, nearest first, ties to the lower site index, so
+ * each list is unique) plus its own spiral site whenever k < n, and
+ * every site (in index order) otherwise; the rule depends only on the
+ * input size. The own-site arc keeps the identity feasible, so the
+ * solve never fails. The arcs are a subgraph of the dense exchange
+ * graph, so wherever the identity is the unique optimum over all n^2
+ * arcs it is also the unique optimum over these; elsewhere the result
+ * may be a near-optimal assignment instead of the exact optimum.
  *
  * The spiral output is usually already the optimum (on the paper
  * devices and on grid8x8 to grid32x32 it is), so the refinement first
@@ -35,24 +37,11 @@
 
 namespace qplacer {
 
-/** Scaling knobs of refineAssignment (see LegalizerParams). */
-struct FlowRefineOptions
-{
-    /**
-     * Problem size above which candidate arcs go sparse; sizes at or
-     * below it solve the exact dense assignment. 0 = always sparse.
-     */
-    int sparseThreshold = 512;
-
-    /** Nearest candidate sites per qubit on the sparse path. */
-    int neighbors = 16;
-};
-
 /**
  * Assignment of @p desired positions to @p sites (equal sizes)
- * minimizing total Manhattan displacement: the exact optimum at sizes
- * up to @p options.sparseThreshold, sparse candidate arcs (k nearest
- * sites plus item i's own site i) above it. The identity when it is
+ * minimizing total Manhattan displacement over the candidate arcs:
+ * the @p neighbors nearest sites plus item i's own site i when
+ * @p neighbors < n, every site otherwise. The identity when it is
  * certified to be the unique optimum, else a min-cost flow solve; the
  * own-site arc makes that flow saturate for any input.
  *
@@ -60,7 +49,7 @@ struct FlowRefineOptions
  */
 std::vector<int> refineAssignment(const std::vector<Vec2> &desired,
                                   const std::vector<Vec2> &sites,
-                                  const FlowRefineOptions &options);
+                                  int neighbors = 16);
 
 } // namespace qplacer
 

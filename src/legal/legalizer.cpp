@@ -138,9 +138,6 @@ Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
     // migrate a qubit across a cut.
     stage_timer.reset();
     if (params_.flowRefine) {
-        FlowRefineOptions options;
-        options.sparseThreshold = params_.flowSparseThreshold;
-        options.neighbors = params_.flowSparseNeighbors;
         for (int d = 0; d < num_dies; ++d) {
             std::vector<std::size_t> group;
             for (std::size_t i = 0; i < movable_qubits.size(); ++i)
@@ -155,8 +152,7 @@ Legalizer::attempt(Netlist &netlist, std::vector<char> is_movable,
                 want.push_back(desired[i]);
                 sites.push_back(netlist.instance(movable_qubits[i]).pos);
             }
-            const std::vector<int> assign =
-                refineAssignment(want, sites, options);
+            const std::vector<int> assign = refineAssignment(want, sites);
             for (std::size_t i = 0; i < group.size(); ++i)
                 netlist.instance(movable_qubits[group[i]]).pos =
                     sites[assign[i]];

@@ -24,21 +24,11 @@ struct LegalizerParams
     /** Occupancy cell size; must divide all padded footprints. */
     double cellUm = 100.0;
 
-    /** Run the min-cost-flow refinement after spiral legalization. */
-    bool flowRefine = true;
-
     /**
-     * Qubit count above which the flow refinement switches from the
-     * exact dense assignment (every qubit x every site) to sparse
-     * candidate edges (own site + k nearest via a spatial hash). The
-     * default keeps every paper device -- and the golden regression
-     * instances -- on the exact path; 1000+ qubit parametric devices
-     * go sparse. Validated in FlowParams::normalized().
+     * Run the min-cost-flow refinement after spiral legalization
+     * (legal/flow_refine: each qubit's 16 nearest sites plus its own).
      */
-    int flowSparseThreshold = 512;
-
-    /** Candidate sites per qubit on the sparse flow path. */
-    int flowSparseNeighbors = 16;
+    bool flowRefine = true;
 
     /** Run the integration-aware repair pass. */
     bool integration = true;

@@ -1,13 +1,10 @@
 #include "pipeline/flow.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
-#include "pipeline/context.hpp"
+#include "pipeline/session.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qplacer {
 
@@ -73,11 +70,6 @@ FlowParams::normalized(std::string *error) const
           "FlowParams: assigner.resonatorBand must have positive span");
     check(legalizer.cellUm > 0.0,
           "FlowParams: legalizer.cellUm must be positive");
-    check(legalizer.flowSparseThreshold >= 0,
-          "FlowParams: legalizer.flowSparseThreshold must be "
-          "non-negative (0 = always sparse)");
-    check(legalizer.flowSparseNeighbors >= 1,
-          "FlowParams: legalizer.flowSparseNeighbors must be at least 1");
     check(hotspot.adjacencyTolUm >= 0.0,
           "FlowParams: hotspot.adjacencyTolUm must be non-negative");
     check(incremental.maxIters >= 1,
@@ -131,31 +123,16 @@ FlowParams::normalized(std::string *error) const
 FlowResult
 QplacerFlow::run(const Topology &topo) const
 {
-    // No error out-param: invalid configuration fatal()s, matching the
-    // pre-session API (PlacementSession reports via FlowResult::status).
-    const FlowParams normalized = params_.normalized();
-
-    FlowContext ctx;
-    ctx.topo = &topo;
-    ctx.params = normalized;
-
-    // A private pool per run (Human mode has no parallel stage, so
-    // skip the thread spawn entirely), sized exactly like the
-    // pre-session flow so fixed-seed layouts stay bitwise-identical
-    // to it. Sessions amortize this construction across runs.
-    std::unique_ptr<ThreadPool> pool;
-    if (normalized.mode != PlacerMode::Human) {
-        pool = std::make_unique<ThreadPool>(normalized.placer.threads);
-        ctx.pool = pool->threads() > 1 ? pool.get() : nullptr;
-    }
-
-    runStages(ctx, makeDefaultStages(normalized));
-
-    // Exception compatibility: a failed stage used to surface as the
-    // fatal() it threw; re-throw instead of returning a partial result.
-    if (ctx.result.status.code == FlowCode::StageError)
-        throw std::runtime_error(ctx.result.status.message);
-    return std::move(ctx.result);
+    // A one-shot run is a one-worker session's run; only the error
+    // surface differs: invalid parameters fatal() and a failed stage
+    // throws, instead of returning in FlowResult::status.
+    PlacementSession session({.flow = params_, .workers = 1});
+    FlowResult result = session.run(topo, params_);
+    if (result.status.code == FlowCode::InvalidParams)
+        fatal(result.status.message);
+    if (result.status.code == FlowCode::StageError)
+        throw std::runtime_error(result.status.message);
+    return result;
 }
 
 FlowResult

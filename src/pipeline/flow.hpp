@@ -10,13 +10,12 @@
  *   FlowResult r = QplacerFlow().run(topo);
  *   writeLayoutSvg(r.netlist, "falcon.svg");
  *
- * QplacerFlow::run() is a thin wrapper over the staged pipeline
- * (stage.hpp): each run builds the default stage sequence and drives
- * it with a private worker pool. Services and batch workloads should
- * prefer PlacementSession (session.hpp), which reuses the pool and
- * spectral-plan cache across runs, streams FlowObserver progress
- * events, supports cooperative cancellation, and executes independent
- * jobs concurrently -- see the migration note on runMode() below.
+ * QplacerFlow::run() is a one-shot PlacementSession (session.hpp) run
+ * that throws instead of returning errors. Services and batch
+ * workloads should keep a PlacementSession, which reuses its worker
+ * pool across runs, streams FlowObserver progress events, supports
+ * cooperative cancellation, and executes independent jobs
+ * concurrently -- see the migration note on runMode() below.
  */
 
 #ifndef QPLACER_PIPELINE_FLOW_HPP

@@ -17,8 +17,6 @@ const char *const kKnownSetKeys[] = {
     "assigner.detuningThresholdGHz",
     "legalizer.cellUm",
     "legalizer.flowRefine",
-    "legalizer.flowSparseThreshold",
-    "legalizer.flowSparseNeighbors",
     "legalizer.integration",
     "hotspot.adjacencyTolUm",
     "multidie.cutWeight",
@@ -76,10 +74,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
     LegalizerParams &lp = params.legalizer;
     lp.cellUm = cfg.getDouble("legalizer.cellUm", lp.cellUm);
     lp.flowRefine = cfg.getBool("legalizer.flowRefine", lp.flowRefine);
-    lp.flowSparseThreshold = static_cast<int>(
-        cfg.getInt("legalizer.flowSparseThreshold", lp.flowSparseThreshold));
-    lp.flowSparseNeighbors = static_cast<int>(
-        cfg.getInt("legalizer.flowSparseNeighbors", lp.flowSparseNeighbors));
     lp.integration = cfg.getBool("legalizer.integration", lp.integration);
 
     params.hotspot.adjacencyTolUm =

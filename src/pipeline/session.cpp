@@ -48,6 +48,31 @@ class TrajectoryRecorder final : public FlowObserver
 };
 
 /**
+ * The start every run shares: @p ctx gets @p topo, the normalized
+ * @p params and the run's hooks. False, with an InvalidParams status
+ * in ctx.result, when the parameters fail validation.
+ */
+bool
+startRun(FlowContext &ctx, const Topology &topo, const FlowParams &params,
+         int job_index, ThreadPool *pool, FlowObserver *observer,
+         const CancelToken *cancel, bool logging)
+{
+    ctx.topo = &topo;
+    std::string error;
+    ctx.params = params.normalized(&error);
+    if (!error.empty()) {
+        ctx.result.status = {FlowCode::InvalidParams, "", error};
+        return false;
+    }
+    ctx.jobIndex = job_index;
+    ctx.pool = pool;
+    ctx.observer = observer;
+    ctx.cancel = cancel;
+    ctx.logging = logging;
+    return true;
+}
+
+/**
  * One truncated portfolio probe: assign -> build -> place only (no
  * legalization or metrics -- the ranking needs the optimizer
  * trajectory, nothing downstream), serial, quiet.
@@ -58,20 +83,9 @@ runTruncatedProbe(const Topology &topo, const FlowParams &params,
                   const CancelToken *cancel)
 {
     FlowContext ctx;
-    ctx.topo = &topo;
-
-    std::string error;
-    ctx.params = params.normalized(&error);
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
+    if (!startRun(ctx, topo, params, job_index, /*pool=*/nullptr, observer,
+                  cancel, /*logging=*/false))
         return std::move(ctx.result);
-    }
-
-    ctx.jobIndex = job_index;
-    ctx.pool = nullptr;
-    ctx.observer = observer;
-    ctx.cancel = cancel;
-    ctx.logging = false;
 
     std::vector<std::unique_ptr<FlowStage>> stages;
     stages.push_back(makeAssignStage());
@@ -89,10 +103,12 @@ PlacementSession::PlacementSession(SessionParams params)
 }
 
 ThreadPool *
-PlacementSession::innerPool(int threads)
+PlacementSession::innerPool(const FlowParams &params)
 {
-    const int resolved = ThreadPool::resolveThreadCount(threads);
-    if (resolved <= 1)
+    // Human mode has no parallel stage; don't build (or keep alive) a
+    // pool for it.
+    const int resolved = ThreadPool::resolveThreadCount(params.placer.threads);
+    if (params.mode == PlacerMode::Human || resolved <= 1)
         return nullptr;
     // Reuse the live pool whenever the size matches -- this is the
     // amortization a session exists for. A changed request rebuilds it
@@ -108,20 +124,9 @@ PlacementSession::runJob(const Topology &topo, const FlowParams &params,
                          int job_index, ThreadPool *pool, bool logging)
 {
     FlowContext ctx;
-    ctx.topo = &topo;
-
-    std::string error;
-    ctx.params = params.normalized(&error);
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
+    if (!startRun(ctx, topo, params, job_index, pool, observer_, &cancel_,
+                  logging))
         return std::move(ctx.result);
-    }
-
-    ctx.jobIndex = job_index;
-    ctx.pool = pool;
-    ctx.observer = observer_;
-    ctx.cancel = &cancel_;
-    ctx.logging = logging;
     runStages(ctx, makeDefaultStages(ctx.params));
     return std::move(ctx.result);
 }
@@ -139,24 +144,19 @@ PlacementSession::runIncremental(const Topology &topo,
                                  const NetlistDelta &delta)
 {
     FlowContext ctx;
-    ctx.topo = &topo;
-
-    std::string error;
-    ctx.params = params.normalized(&error);
-    if (error.empty() && params.mode == PlacerMode::Human)
-        error = "incremental re-place supports Qplacer/Classic modes only";
-    if (!error.empty()) {
-        ctx.result.status = {FlowCode::InvalidParams, "", error};
+    if (!startRun(ctx, topo, params, /*job_index=*/0, innerPool(params),
+                  observer_, &cancel_, /*logging=*/true))
+        return std::move(ctx.result);
+    if (params.mode == PlacerMode::Human) {
+        ctx.result.status = {
+            FlowCode::InvalidParams, "",
+            "incremental re-place supports Qplacer/Classic modes only"};
         return std::move(ctx.result);
     }
 
     IncrementalState state;
     state.prior = &prior;
     state.delta = delta;
-
-    ctx.pool = innerPool(params.placer.threads);
-    ctx.observer = observer_;
-    ctx.cancel = &cancel_;
     ctx.incremental = &state;
     runStages(ctx, makeIncrementalStages(ctx.params));
     return std::move(ctx.result);
@@ -165,12 +165,8 @@ PlacementSession::runIncremental(const Topology &topo,
 FlowResult
 PlacementSession::run(const Topology &topo, const FlowParams &params)
 {
-    // Human mode has no parallel stage; don't build (or keep alive) a
-    // pool for it.
-    ThreadPool *pool = params.mode == PlacerMode::Human
-                           ? nullptr
-                           : innerPool(params.placer.threads);
-    return runJob(topo, params, /*job_index=*/0, pool, /*logging=*/true);
+    return runJob(topo, params, /*job_index=*/0, innerPool(params),
+                  /*logging=*/true);
 }
 
 std::vector<FlowResult>
@@ -209,13 +205,9 @@ PlacementSession::runBatchRefs(const std::vector<JobRef> &jobs)
         // Serial batch: jobs run in order on this thread and keep
         // their requested intra-placement thread count.
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            ThreadPool *pool =
-                jobs[i].params->mode == PlacerMode::Human
-                    ? nullptr
-                    : innerPool(jobs[i].params->placer.threads);
             results[i] = runJob(*jobs[i].topo, *jobs[i].params,
-                                static_cast<int>(i), pool,
-                                /*logging=*/true);
+                                static_cast<int>(i),
+                                innerPool(*jobs[i].params), /*logging=*/true);
         }
         return results;
     }

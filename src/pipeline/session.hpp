@@ -173,10 +173,11 @@ class PlacementSession
 
     /**
      * The shared intra-placement pool for single runs and serial
-     * batches, lazily (re)built to match the resolved thread request;
-     * null when the request resolves to serial.
+     * batches, lazily (re)built to match the resolved
+     * params.placer.threads; null when that resolves to serial or in
+     * Human mode.
      */
-    ThreadPool *innerPool(int threads);
+    ThreadPool *innerPool(const FlowParams &params);
 
     SessionParams params_;
     FlowObserver *observer_ = nullptr;

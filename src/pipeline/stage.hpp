@@ -10,9 +10,9 @@
  * clocks, FlowObserver callbacks (stage begin/end and optimizer
  * iteration progress), and cooperative cancellation.
  *
- * QplacerFlow::run() is a thin wrapper over this path; PlacementSession
- * (session.hpp) adds pool/plan reuse across runs and concurrent batch
- * execution on top of it.
+ * PlacementSession (session.hpp) drives this path, with pool reuse
+ * across runs and concurrent batch execution; QplacerFlow::run() is a
+ * one-shot session run that throws on error.
  */
 
 #ifndef QPLACER_PIPELINE_STAGE_HPP

@@ -26,9 +26,9 @@ namespace {
 constexpr double kPitchUm = 800.0;
 
 /** Every size exact and dense. */
-const FlowRefineOptions kDense{std::numeric_limits<int>::max(), 16};
-/** Sparse at every size, with few neighbours. */
-const FlowRefineOptions kSparse{0, 6};
+constexpr int kDense = std::numeric_limits<int>::max();
+/** Sparse wherever n > 6. */
+constexpr int kSparse = 6;
 
 struct Instance
 {
@@ -54,6 +54,20 @@ lattice(int n, int cols)
     return sites;
 }
 
+/** Each item within @p jitter pitches (per axis) of its lattice site. */
+Instance
+jittered(int n, int cols, double jitter, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Instance inst;
+    inst.sites = lattice(n, cols);
+    for (const Vec2 &s : inst.sites)
+        inst.desired.push_back(
+            s + Vec2(rng.uniform(-jitter, jitter) * kPitchUm,
+                     rng.uniform(-jitter, jitter) * kPitchUm));
+    return inst;
+}
+
 /**
  * Spiral-like output: each item within a quarter pitch (per axis) of
  * its own lattice site. The own site is at most half a pitch away and
@@ -63,14 +77,7 @@ lattice(int n, int cols)
 Instance
 nearIdentity(int n, int cols, std::uint64_t seed)
 {
-    Rng rng(seed);
-    Instance inst;
-    inst.sites = lattice(n, cols);
-    for (const Vec2 &s : inst.sites)
-        inst.desired.push_back(
-            s + Vec2(rng.uniform(-0.25, 0.25) * kPitchUm,
-                     rng.uniform(-0.25, 0.25) * kPitchUm));
-    return inst;
+    return jittered(n, cols, 0.25, seed);
 }
 
 /**
@@ -124,11 +131,11 @@ coarse(int n, std::uint64_t seed)
 
 /** Whether the identity is the unique optimum, by the oracle's check. */
 bool
-identityIsUnique(const Instance &inst, const FlowRefineOptions &options)
+identityIsUnique(const Instance &inst, int neighbors)
 {
     return oracle::isUniqueOptimum(
         inst.desired, inst.sites,
-        oracle::candidateSitesReference(inst.desired, inst.sites, options),
+        oracle::candidateSitesReference(inst.desired, inst.sites, neighbors),
         identity(inst.desired.size()));
 }
 
@@ -140,15 +147,14 @@ identityIsUnique(const Instance &inst, const FlowRefineOptions &options)
  * @return whether that optimum was unique.
  */
 bool
-expectEquivalent(const Instance &inst, const FlowRefineOptions &options,
-                 const std::string &what)
+expectEquivalent(const Instance &inst, int neighbors, const std::string &what)
 {
     const std::vector<int> fast =
-        refineAssignment(inst.desired, inst.sites, options);
+        refineAssignment(inst.desired, inst.sites, neighbors);
     const std::vector<int> cold =
-        oracle::refineAssignmentCold(inst.desired, inst.sites, options);
+        oracle::refineAssignmentCold(inst.desired, inst.sites, neighbors);
     const oracle::Candidates candidates =
-        oracle::candidateSitesReference(inst.desired, inst.sites, options);
+        oracle::candidateSitesReference(inst.desired, inst.sites, neighbors);
 
     EXPECT_EQ(fast.size(), inst.desired.size()) << what;
     EXPECT_EQ(std::set<int>(fast.begin(), fast.end()).size(), fast.size())
@@ -173,18 +179,17 @@ expectEquivalent(const Instance &inst, const FlowRefineOptions &options,
 TEST(FlowEquivalence, NearIdentityKeepsTheSpiralAssignment)
 {
     // The certificate path: the identity is the unique optimum.
-    for (const FlowRefineOptions &opts : {kDense, kSparse}) {
+    for (const int k : {kDense, kSparse}) {
         for (std::uint64_t seed = 1; seed <= 12; ++seed) {
             for (const auto &[n, cols] :
                  {std::pair{9, 3}, {40, 7}, {100, 10}}) {
                 const std::string what =
                     "seed " + std::to_string(seed) + " n " +
-                    std::to_string(n) + " k " +
-                    std::to_string(opts.neighbors);
+                    std::to_string(n) + " k " + std::to_string(k);
                 const Instance inst = nearIdentity(n, cols, seed);
-                ASSERT_TRUE(identityIsUnique(inst, opts)) << what;
-                EXPECT_TRUE(expectEquivalent(inst, opts, what));
-                EXPECT_EQ(refineAssignment(inst.desired, inst.sites, opts),
+                ASSERT_TRUE(identityIsUnique(inst, k)) << what;
+                EXPECT_TRUE(expectEquivalent(inst, k, what));
+                EXPECT_EQ(refineAssignment(inst.desired, inst.sites, k),
                           identity(n))
                     << what;
             }
@@ -196,15 +201,15 @@ TEST(FlowEquivalence, ScatteredFallsBackToTheSolver)
 {
     int unique = 0;
     int moved = 0;
-    for (const FlowRefineOptions &opts : {kDense, kSparse}) {
+    for (const int k : {kDense, kSparse}) {
         for (std::uint64_t seed = 1; seed <= 30; ++seed) {
             const int n = 4 + static_cast<int>(seed % 12);
             const std::string what = "seed " + std::to_string(seed) +
-                                     " k " + std::to_string(opts.neighbors);
+                                     " k " + std::to_string(k);
             const Instance inst = scattered(n, seed);
-            unique += expectEquivalent(inst, opts, what);
+            unique += expectEquivalent(inst, k, what);
             moved += oracle::refineAssignmentCold(inst.desired, inst.sites,
-                                                  opts) != identity(n);
+                                                  k) != identity(n);
         }
     }
     // The identity loses on (nearly) every instance, so the solver
@@ -218,33 +223,78 @@ TEST(FlowEquivalence, ScatteredFallsBackToTheSolver)
 TEST(FlowEquivalence, CoarseGridTiesKeepTheOptimumCost)
 {
     int tied = 0;
-    for (const FlowRefineOptions &opts : {kDense, kSparse}) {
+    for (const int k : {kDense, kSparse}) {
         for (std::uint64_t seed = 1; seed <= 20; ++seed) {
             const std::string what = "seed " + std::to_string(seed) +
-                                     " k " + std::to_string(opts.neighbors);
-            tied += !expectEquivalent(coarse(12, seed), opts, what);
+                                     " k " + std::to_string(k);
+            tied += !expectEquivalent(coarse(12, seed), k, what);
         }
     }
     EXPECT_GT(tied, 0); // the cost-only half of the check ran too
 }
 
+TEST(FlowEquivalence, UniqueDenseOptimumSurvivesSparseArcs)
+{
+    // Why one candidate rule at every size keeps the layouts: the k
+    // nearest sites plus the own site are a subgraph of the dense
+    // exchange graph, so an identity that is the unique optimum over
+    // all n^2 arcs is also the unique optimum over the sparse arcs,
+    // and the sparse refinement must return it. Each scattered and
+    // coarse instance (plus lattices with items up to 0.6 pitch off
+    // their sites, large enough for k = 16 to be sparse too) gets its
+    // sites relabelled by the dense optimum, which makes the identity
+    // optimal.
+    std::vector<Instance> instances;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed)
+        instances.push_back(scattered(4 + static_cast<int>(seed % 12), seed));
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        instances.push_back(coarse(12, seed));
+    for (int n = 20; n <= 56; n += 4)
+        instances.push_back(jittered(n, 6, 0.6, n));
+
+    int unique = 0;
+    int checked16 = 0;
+    for (std::size_t c = 0; c < instances.size(); ++c) {
+        Instance inst = instances[c];
+        const std::vector<int> dense =
+            oracle::refineAssignmentCold(inst.desired, inst.sites, kDense);
+        const std::vector<Vec2> sites = inst.sites;
+        for (std::size_t i = 0; i < dense.size(); ++i)
+            inst.sites[i] = sites[dense[i]];
+        const int n = static_cast<int>(inst.desired.size());
+        if (!identityIsUnique(inst, kDense))
+            continue;
+        ++unique;
+        for (const int k : {2, 6, 16}) {
+            if (n <= k)
+                continue;
+            checked16 += k == 16;
+            EXPECT_EQ(refineAssignment(inst.desired, inst.sites, k),
+                      identity(n))
+                << "instance " << c << " n " << n << " k " << k;
+        }
+    }
+    // Manhattan ties leave many scattered and coarse optima shared;
+    // enough are unique for the check to run at every k.
+    EXPECT_GE(unique, 25);
+    EXPECT_GE(checked16, 8);
+}
+
 TEST(FlowEquivalence, ThousandQubitShape)
 {
     // The classic-1k legalizer's shape: 1,024 qubits on a 32x32 grid,
-    // above the default sparse threshold (16 nearest plus own site).
-    const FlowRefineOptions opts;
-    ASSERT_GT(1024, opts.sparseThreshold);
+    // with the legalizer's arcs (16 nearest plus own site).
+    const int k = 16;
 
     const Instance clean = nearIdentity(1024, 32, 7);
-    ASSERT_TRUE(identityIsUnique(clean, opts));
-    EXPECT_TRUE(expectEquivalent(clean, opts, "clean"));
-    EXPECT_EQ(refineAssignment(clean.desired, clean.sites, opts),
-              identity(1024));
+    ASSERT_TRUE(identityIsUnique(clean, k));
+    EXPECT_TRUE(expectEquivalent(clean, k, "clean"));
+    EXPECT_EQ(refineAssignment(clean.desired, clean.sites, k), identity(1024));
 
     const Instance swapped = displaced(1024, 32, 40, 7);
-    ASSERT_FALSE(identityIsUnique(swapped, opts));
-    EXPECT_TRUE(expectEquivalent(swapped, opts, "swapped"));
-    EXPECT_NE(refineAssignment(swapped.desired, swapped.sites, opts),
+    ASSERT_FALSE(identityIsUnique(swapped, k));
+    EXPECT_TRUE(expectEquivalent(swapped, k, "swapped"));
+    EXPECT_NE(refineAssignment(swapped.desired, swapped.sites, k),
               identity(1024));
 }
 
@@ -274,12 +324,12 @@ TEST(FlowEquivalence, SquareOfFourTie)
     Instance inst;
     inst.desired = {{50, 0}, {100, 50}, {50, 100}, {0, 50}};
     inst.sites = {{0, 0}, {100, 0}, {100, 100}, {0, 100}};
-    for (const FlowRefineOptions &opts : {kDense, FlowRefineOptions{0, 2}}) {
-        EXPECT_FALSE(expectEquivalent(inst, opts, "square"));
+    for (const int k : {kDense, 2}) {
+        EXPECT_FALSE(expectEquivalent(inst, k, "square"));
         const std::vector<int> fast =
-            refineAssignment(inst.desired, inst.sites, opts);
+            refineAssignment(inst.desired, inst.sites, k);
         EXPECT_EQ(fast, oracle::refineAssignmentCold(inst.desired,
-                                                     inst.sites, opts));
+                                                     inst.sites, k));
         EXPECT_EQ(oracle::assignmentCost(inst.desired, inst.sites, fast), 200);
     }
 }
@@ -295,12 +345,12 @@ TEST(FlowEquivalence, OneSidedTieFollowsTheColdSolver)
         inst.desired.emplace_back(10.0 * i, 0.0);
         inst.sites.emplace_back(100.0 * (i + 1), 0.0);
     }
-    for (const FlowRefineOptions &opts : {kDense, FlowRefineOptions{0, 3}}) {
-        EXPECT_FALSE(expectEquivalent(inst, opts, "one-sided"));
+    for (const int k : {kDense, 3}) {
+        EXPECT_FALSE(expectEquivalent(inst, k, "one-sided"));
         const std::vector<int> fast =
-            refineAssignment(inst.desired, inst.sites, opts);
+            refineAssignment(inst.desired, inst.sites, k);
         EXPECT_EQ(fast, oracle::refineAssignmentCold(inst.desired,
-                                                     inst.sites, opts));
+                                                     inst.sites, k));
         EXPECT_NE(fast, identity(4));
     }
 }
@@ -321,11 +371,10 @@ TEST(FlowEquivalence, ChainBeyondThePassBudgetStaysExact)
         inst.sites.emplace_back(100.0 * i, 0.0);
         inst.desired.emplace_back(100.0 * i, 200.0 * (n - i));
     }
-    for (const FlowRefineOptions &opts : {kDense, FlowRefineOptions{0, 3}}) {
-        ASSERT_TRUE(identityIsUnique(inst, opts));
-        EXPECT_TRUE(expectEquivalent(inst, opts, "chain"));
-        EXPECT_EQ(refineAssignment(inst.desired, inst.sites, opts),
-                  identity(n));
+    for (const int k : {kDense, 3}) {
+        ASSERT_TRUE(identityIsUnique(inst, k));
+        EXPECT_TRUE(expectEquivalent(inst, k, "chain"));
+        EXPECT_EQ(refineAssignment(inst.desired, inst.sites, k), identity(n));
     }
 }
 

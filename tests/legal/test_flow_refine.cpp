@@ -9,8 +9,8 @@
 namespace qplacer {
 namespace {
 
-/** No size reaches the sparse threshold: always the exact dense solve. */
-const FlowRefineOptions kExact{std::numeric_limits<int>::max(), 16};
+/** Never fewer neighbours than items: always the exact dense solve. */
+constexpr int kExact = std::numeric_limits<int>::max();
 
 double
 totalCost(const std::vector<Vec2> &desired, const std::vector<Vec2> &sites,
@@ -83,10 +83,7 @@ TEST(FlowRefine, SparsePathIsAValidNearOptimalPermutation)
         sites.emplace_back(rng.uniform(0, 8000), rng.uniform(0, 8000));
     }
 
-    FlowRefineOptions opts;
-    opts.sparseThreshold = 0; // force the sparse path at any size
-    opts.neighbors = 8;
-    const auto sparse = refineAssignment(desired, sites, opts);
+    const auto sparse = refineAssignment(desired, sites, 8);
     const std::set<int> unique(sparse.begin(), sparse.end());
     EXPECT_EQ(unique.size(), 40u);
 
@@ -96,11 +93,10 @@ TEST(FlowRefine, SparsePathIsAValidNearOptimalPermutation)
               totalCost(desired, sites, dense));
 
     // ...and the sparse path is deterministic.
-    EXPECT_EQ(sparse, refineAssignment(desired, sites, opts));
+    EXPECT_EQ(sparse, refineAssignment(desired, sites, 8));
 
     // Asking for >= n neighbors collapses to the exact dense solve.
-    opts.neighbors = 64;
-    EXPECT_EQ(refineAssignment(desired, sites, opts), dense);
+    EXPECT_EQ(refineAssignment(desired, sites, 64), dense);
 }
 
 TEST(FlowRefine, SparseIdentityStaysZeroCost)
@@ -110,10 +106,7 @@ TEST(FlowRefine, SparseIdentityStaysZeroCost)
     std::vector<Vec2> pts;
     for (int i = 0; i < 24; ++i)
         pts.emplace_back(100.0 * i, 700.0 * (i % 5));
-    FlowRefineOptions opts;
-    opts.sparseThreshold = 0;
-    opts.neighbors = 4;
-    const auto assign = refineAssignment(pts, pts, opts);
+    const auto assign = refineAssignment(pts, pts, 4);
     EXPECT_EQ(totalCost(pts, pts, assign), 0.0);
 }
 

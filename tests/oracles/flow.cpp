@@ -116,13 +116,12 @@ arcCost(Vec2 desired, Vec2 site)
 
 Candidates
 candidateSitesReference(const std::vector<Vec2> &desired,
-                        const std::vector<Vec2> &sites,
-                        const FlowRefineOptions &options)
+                        const std::vector<Vec2> &sites, int neighbors)
 {
     const int n = static_cast<int>(desired.size());
     std::vector<std::int32_t> all(n);
     std::iota(all.begin(), all.end(), 0);
-    if (n <= options.sparseThreshold || options.neighbors >= n)
+    if (neighbors >= n)
         return Candidates(n, all);
 
     Candidates candidates(n);
@@ -131,7 +130,7 @@ candidateSitesReference(const std::vector<Vec2> &desired,
         for (const std::int32_t s : all)
             by_dist.emplace_back((sites[s] - desired[i]).normSq(), s);
         std::sort(by_dist.begin(), by_dist.end());
-        for (int k = 0; k < options.neighbors; ++k)
+        for (int k = 0; k < neighbors; ++k)
             candidates[i].push_back(by_dist[k].second);
         if (std::find(candidates[i].begin(), candidates[i].end(), i) ==
             candidates[i].end())
@@ -142,14 +141,13 @@ candidateSitesReference(const std::vector<Vec2> &desired,
 
 std::vector<int>
 refineAssignmentCold(const std::vector<Vec2> &desired,
-                     const std::vector<Vec2> &sites,
-                     const FlowRefineOptions &options)
+                     const std::vector<Vec2> &sites, int neighbors)
 {
     const int n = static_cast<int>(desired.size());
     if (n == 0)
         return {};
     const Candidates candidates =
-        candidateSitesReference(desired, sites, options);
+        candidateSitesReference(desired, sites, neighbors);
 
     const int source = 0;
     const int sink = 2 * n + 1;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "geometry/vec2.hpp"
-#include "legal/flow_refine.hpp"
 
 namespace qplacer::oracle {
 
@@ -69,14 +68,13 @@ using Candidates = std::vector<std::vector<std::int32_t>>;
 
 /**
  * The candidate arcs refineAssignment builds, by brute force: every
- * site in index order at or below options.sparseThreshold items (or
- * when options.neighbors >= n), else the options.neighbors sites of
- * least Euclidean distance (nearest first, ties to the lower index)
- * plus the item's own site, appended when missing.
+ * site in index order when @p neighbors >= n, else the @p neighbors
+ * sites of least Euclidean distance (nearest first, ties to the lower
+ * index) plus the item's own site, appended when missing.
  */
 Candidates candidateSitesReference(const std::vector<Vec2> &desired,
                                    const std::vector<Vec2> &sites,
-                                   const FlowRefineOptions &options);
+                                   int neighbors);
 
 /**
  * refineAssignment as it was before the identity certificate: always
@@ -85,7 +83,7 @@ Candidates candidateSitesReference(const std::vector<Vec2> &desired,
  */
 std::vector<int> refineAssignmentCold(const std::vector<Vec2> &desired,
                                       const std::vector<Vec2> &sites,
-                                      const FlowRefineOptions &options);
+                                      int neighbors);
 
 /** Total integer cost (llround of each Manhattan distance). */
 std::int64_t assignmentCost(const std::vector<Vec2> &desired,

@@ -214,14 +214,17 @@ string(FIND "${help_text}" "multidie.cutWeight" found)
 if(NOT rc EQUAL 0 OR found EQUAL -1)
     message(FATAL_ERROR "--help does not list every --set key:\n${help_text}")
 endif()
-execute_process(
-    COMMAND "${QPLACER_CLI}" --topology grid3x3
-            --set legalizer.referenceProbes=1 --quiet
-    RESULT_VARIABLE bad_rc
-    OUTPUT_QUIET ERROR_VARIABLE err)
-if(bad_rc EQUAL 0 OR NOT err MATCHES "unknown --set key")
-    message(FATAL_ERROR "removed key legalizer.referenceProbes was accepted (${bad_rc}):\n${err}")
-endif()
+foreach(removed_key IN ITEMS legalizer.referenceProbes
+                             legalizer.flowSparseThreshold)
+    execute_process(
+        COMMAND "${QPLACER_CLI}" --topology grid3x3
+                --set ${removed_key}=1 --quiet
+        RESULT_VARIABLE bad_rc
+        OUTPUT_QUIET ERROR_VARIABLE err)
+    if(bad_rc EQUAL 0 OR NOT err MATCHES "unknown --set key")
+        message(FATAL_ERROR "removed key ${removed_key} was accepted (${bad_rc}):\n${err}")
+    endif()
+endforeach()
 
 # --- Error path: unknown topology must fail cleanly. ---
 execute_process(
