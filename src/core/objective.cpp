@@ -21,13 +21,6 @@ l1Norm(const std::vector<Vec2> &g)
 }
 
 /**
- * Schedule of the multi-die cut penalty: grown by this factor every
- * iteration, capped at this many times its initial weight.
- */
-constexpr double kCutLambdaGrowth = 1.05;
-constexpr double kCutLambdaMaxFactor = 300.0;
-
-/**
  * lambda_f = weight * sum_{i: grad_f_i != 0} |grad_wl_i|_1 / |grad_f|_1:
  * the frequency force scaled against the wirelength gradient on its
  * own support, so a few pairs are not weighed against the whole chip.
@@ -72,11 +65,6 @@ PlacementObjective::PlacementObjective(const Netlist &netlist,
             netlist, params.detuningThresholdHz,
             params.freqCutoffFactor, pool_);
     }
-    if (params.cutWeight > 0.0 && netlist.dieSpec().active()) {
-        cutPenalty_ = std::make_unique<CutPenaltyModel>(
-            netlist, DiePlan::resolve(netlist.dieSpec(),
-                                      netlist.region()));
-    }
     gammaBase_ = density_.grid().binWidth();
 
     netDegree_.assign(netlist.instances().size(), 0.0);
@@ -98,35 +86,15 @@ PlacementObjective::evaluate(const std::vector<Vec2> &positions,
     } else {
         gradFreq_.assign(positions.size(), Vec2());
     }
-    if (cutPenalty_) {
-        cutPenalty_->evaluate(positions, gradCut_);
-        // Initialized lazily: the penalty weight is meaningless until
-        // some net actually crosses a cut.
-        if (!cutLambdaLive_) {
-            const double cut_norm = l1Norm(gradCut_);
-            if (cut_norm > 1e-12) {
-                cutLambda_ = params_.cutWeight * l1Norm(gradWl_) /
-                             cut_norm;
-                cutLambdaInit_ = cutLambda_;
-                cutLambdaLive_ = true;
-            }
-        }
-    }
 
     gradient.assign(positions.size(), Vec2());
     const auto &instances = netlist_.instances();
-    const bool with_cut = cutPenalty_ != nullptr;
     parallelFor(
         pool_, positions.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                Vec2 g = gradWl_[i] + gradDen_[i] * lambda_ +
-                         gradFreq_[i] * freqLambda_;
-                // Guarded so single-die runs combine the exact same FP
-                // expression as before (adding a 0.0 term could still
-                // flip signed zeros).
-                if (with_cut)
-                    g = g + gradCut_[i] * cutLambda_;
+                const Vec2 g = gradWl_[i] + gradDen_[i] * lambda_ +
+                               gradFreq_[i] * freqLambda_;
                 // Jacobi preconditioner (ePlace): net degree + lambda *
                 // charge.
                 const double h = std::max(
@@ -152,28 +120,12 @@ PlacementObjective::initPenalties(const std::vector<Vec2> &positions)
         freqForce_->evaluate(positions, gradFreq_);
         freqLambda_ = freqMultiplier(params_.freqWeight, gradWl_, gradFreq_);
     }
-
-    cutLambda_ = 0.0;
-    cutLambdaLive_ = false;
-    if (cutPenalty_) {
-        cutPenalty_->evaluate(positions, gradCut_);
-        const double cut_norm = l1Norm(gradCut_);
-        if (cut_norm > 1e-12) {
-            cutLambda_ = params_.cutWeight * wl_norm / cut_norm;
-            cutLambdaInit_ = cutLambda_;
-            cutLambdaLive_ = true;
-        }
-    }
 }
 
 void
 PlacementObjective::growPenalties()
 {
     lambda_ *= params_.lambdaGrowth;
-    if (cutLambdaLive_) {
-        const double cap = cutLambdaInit_ * kCutLambdaMaxFactor;
-        cutLambda_ = std::min(cutLambda_ * kCutLambdaGrowth, cap);
-    }
 }
 
 void

@@ -22,7 +22,6 @@
 #include "core/freq_force.hpp"
 #include "core/params.hpp"
 #include "core/wirelength.hpp"
-#include "multidie/cut_penalty.hpp"
 #include "netlist/netlist.hpp"
 
 namespace qplacer {
@@ -49,14 +48,14 @@ class PlacementObjective
                   std::vector<Vec2> &gradient);
 
     /**
-     * Initialize lambda, lambda_f and the cut multiplier from the
-     * gradient norms at @p positions (call once before the loop).
+     * Initialize lambda and lambda_f from the gradient norms at
+     * @p positions (call once before the loop).
      */
     void initPenalties(const std::vector<Vec2> &positions);
 
     /**
-     * Grow the density and cut multipliers one schedule step (lambda_f
-     * is set by evaluate(), not grown).
+     * Grow the density multiplier one schedule step (lambda_f is set
+     * by evaluate(), not grown).
      */
     void growPenalties();
 
@@ -71,7 +70,6 @@ class PlacementObjective
 
     double lambda() const { return lambda_; }
     double freqLambda() const { return freqLambda_; }
-    double cutLambda() const { return cutLambda_; }
 
   private:
     const Netlist &netlist_;
@@ -80,18 +78,13 @@ class PlacementObjective
     WirelengthModel wirelength_;
     DensityModel density_;
     std::unique_ptr<FreqForceModel> freqForce_;
-    std::unique_ptr<CutPenaltyModel> cutPenalty_; ///< Active die spec only.
     std::vector<double> netDegree_;
     double gammaBase_;
     double lambda_ = 0.0;
     double freqLambda_ = 0.0;
-    double cutLambda_ = 0.0;
-    bool cutLambdaLive_ = false; ///< Set once a net first crosses a cut.
-    double cutLambdaInit_ = 0.0;
     std::vector<Vec2> gradWl_;
     std::vector<Vec2> gradDen_;
     std::vector<Vec2> gradFreq_;
-    std::vector<Vec2> gradCut_;
 };
 
 } // namespace qplacer

@@ -65,16 +65,6 @@ struct PlacerParams
     double freqCutoffFactor = 0.8;
 
     /**
-     * Multi-die cut-crossing penalty weight (the "multidie.cutWeight"
-     * knob): initial weight of the cut penalty relative to the
-     * wirelength gradient, set the first time a net crosses a cut. 0
-     * disables the term; it is also inert unless the netlist carries an
-     * active die spec. Grows 1.05x per iteration, capped at 300x its
-     * initial weight.
-     */
-    double cutWeight = 0.0;
-
-    /**
      * Stop early when the density overflow has not improved for this
      * many iterations (the plateau means the penalty equilibrium is
      * reached).

@@ -36,8 +36,10 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
         positions.push_back(inst.pos);
     }
 
-    // Cells at least `reach` wide put every pair within reach in the
-    // same or adjacent cells; pairs arrive by ascending (a, b).
+    // Padded footprints within adjacencyTolUm of each other have centres
+    // at most `reach` apart on each axis, so cells at least `reach` wide
+    // put every such pair in the same or adjacent cells; pairs arrive by
+    // ascending (a, b).
     const double reach = max_extent + params.adjacencyTolUm;
     CellList cells;
     cells.build(netlist.region(), reach, positions);
@@ -45,8 +47,7 @@ analyzeHotspots(const Netlist &netlist, HotspotParams params)
         const Instance &inst = instances[a];
         const Instance &o = instances[b];
         double gap = 0.0;
-        if ((o.pos - inst.pos).normSq() > reach * reach ||
-            !isHotspotPair(inst, o, params, gap))
+        if (!isHotspotPair(inst, o, params, gap))
             return;
 
         // Shared-boundary length: inflate by half the tolerance so

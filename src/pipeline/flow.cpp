@@ -60,8 +60,6 @@ FlowParams::normalized(std::string *error) const
     check(placer.bins >= 0, "FlowParams: placer.bins must be >= 0");
     check(placer.jitterFrac >= 0.0,
           "FlowParams: placer.jitterFrac must be non-negative");
-    check(placer.cutWeight >= 0.0,
-          "FlowParams: placer.cutWeight must be non-negative");
     check(assigner.detuningThresholdHz > 0.0,
           "FlowParams: assigner.detuningThresholdHz must be positive");
     check(assigner.qubitBand.span() > 0.0,

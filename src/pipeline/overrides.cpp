@@ -19,7 +19,6 @@ const char *const kKnownSetKeys[] = {
     "legalizer.flowRefine",
     "legalizer.integration",
     "hotspot.adjacencyTolUm",
-    "multidie.cutWeight",
     "incremental.maxIters",
     "incremental.snapToleranceUm",
     "detailed.enabled",
@@ -62,7 +61,6 @@ applyOverrides(const Config &cfg, FlowParams &params)
     pp.freqCutoffFactor =
         cfg.getDouble("placer.freqCutoffFactor", pp.freqCutoffFactor);
     pp.threads = static_cast<int>(cfg.getInt("placer.threads", pp.threads));
-    pp.cutWeight = cfg.getDouble("multidie.cutWeight", pp.cutWeight);
 
     AssignerParams &ap = params.assigner;
     ap.distance2 = cfg.getBool("assigner.distance2", ap.distance2);

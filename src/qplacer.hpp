@@ -23,7 +23,6 @@
 #include "io/meander.hpp"
 #include "io/svg.hpp"
 #include "legal/legalizer.hpp"
-#include "multidie/cut_penalty.hpp"
 #include "multidie/die_plan.hpp"
 #include "netlist/builder.hpp"
 #include "physics/boxmode.hpp"

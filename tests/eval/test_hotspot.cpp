@@ -67,6 +67,19 @@ TEST(Hotspot, AdjacentResonantQubitsViolate)
     EXPECT_EQ(report.impactedQubits.size(), 2u);
 }
 
+TEST(Hotspot, CornerTouchingResonantQubitsViolate)
+{
+    Layout l(5.0e9, 5.0e9, 6.3e9, 6.7e9);
+    // Padded 800-footprints meeting at one corner: centres (800, 800)
+    // apart, further than one padded width plus the tolerance.
+    l.nl.instance(1).pos = {2800, 2800};
+    const HotspotReport report = analyzeHotspots(l.nl);
+    ASSERT_EQ(report.pairs.size(), 1u);
+    EXPECT_EQ(report.pairs[0].a, 0);
+    EXPECT_EQ(report.pairs[0].b, 1);
+    EXPECT_DOUBLE_EQ(report.pairs[0].gapUm, 0.0);
+}
+
 TEST(Hotspot, AdjacentDetunedQubitsDoNot)
 {
     Layout l(4.8e9, 5.2e9, 6.3e9, 6.7e9);

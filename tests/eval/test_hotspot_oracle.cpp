@@ -1,8 +1,7 @@
 /**
  * @file
  * analyzeHotspots against an O(n^2) recount: the same predicate
- * (isHotspotPair) and reach (centres at most max_extent +
- * adjacencyTolUm apart), every pair a < b in ascending order, every
+ * (isHotspotPair) over every pair a < b in ascending order, every
  * HotspotPair field compared bit for bit. Runs on flow layouts with
  * few pairs (Qplacer mode) and with thousands (grid16x16 Classic).
  */
@@ -31,11 +30,6 @@ std::vector<HotspotPair>
 recountPairs(const Netlist &netlist, const HotspotParams &params)
 {
     const auto &instances = netlist.instances();
-    double max_extent = 0.0;
-    for (const Instance &inst : instances)
-        max_extent = std::max(
-            {max_extent, inst.paddedWidth(), inst.paddedHeight()});
-    const double reach = max_extent + params.adjacencyTolUm;
     const double half_tol = params.adjacencyTolUm / 2.0;
 
     std::vector<HotspotPair> pairs;
@@ -44,8 +38,7 @@ recountPairs(const Netlist &netlist, const HotspotParams &params)
             const Instance &ia = instances[a];
             const Instance &ib = instances[b];
             double gap = 0.0;
-            if ((ib.pos - ia.pos).normSq() > reach * reach ||
-                !isHotspotPair(ia, ib, params, gap))
+            if (!isHotspotPair(ia, ib, params, gap))
                 continue;
             HotspotPair pair;
             pair.a = ia.id;

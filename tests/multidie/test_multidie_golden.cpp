@@ -1,8 +1,7 @@
 /**
  * @file
  * Single-die equivalence contract: a "@dies=1x1" suffix (with any cut
- * gap, and with multidie.cutWeight set) must reproduce the plain
- * single-die flow bitwise. The multi-die code paths gate on
+ * gap) must reproduce the plain single-die flow bitwise. The multi-die code paths gate on
  * DieSpec::active(), so an inactive spec may not perturb one bit of
  * the layout.
  */
@@ -18,7 +17,7 @@ namespace qplacer {
 namespace {
 
 FlowResult
-runFlow(const std::string &spec, double cut_weight = 0.0)
+runFlow(const std::string &spec)
 {
     Topology topo;
     std::string error;
@@ -30,7 +29,6 @@ runFlow(const std::string &spec, double cut_weight = 0.0)
     params.partition.segmentUm = 300.0;
     params.placer.seed = 1;
     params.placer.threads = 1;
-    params.placer.cutWeight = cut_weight;
     return QplacerFlow(params).run(topo);
 }
 
@@ -54,25 +52,10 @@ TEST(MultidieGolden, CutGapOptionIsInertOnSingleDie)
     EXPECT_TRUE(bitwiseSameLayout(plain.netlist, gapped.netlist));
 }
 
-TEST(MultidieGolden, CutWeightIsInertOnSingleDie)
-{
-    const FlowResult plain = runFlow("grid6x6");
-    const FlowResult weighted = runFlow("grid6x6@dies=1x1", 4.0);
-    ASSERT_TRUE(plain.status.ok());
-    ASSERT_TRUE(weighted.status.ok());
-    EXPECT_TRUE(bitwiseSameLayout(plain.netlist, weighted.netlist));
-
-    // And without any suffix at all: cutWeight gates on an active die
-    // spec, so setting it alone changes nothing.
-    const FlowResult weighted_plain = runFlow("grid6x6", 4.0);
-    ASSERT_TRUE(weighted_plain.status.ok());
-    EXPECT_TRUE(bitwiseSameLayout(plain.netlist, weighted_plain.netlist));
-}
-
 TEST(MultidieGolden, MultiDieRunIsDeterministic)
 {
-    const FlowResult a = runFlow("grid6x6@dies=2x1", 2.0);
-    const FlowResult b = runFlow("grid6x6@dies=2x1", 2.0);
+    const FlowResult a = runFlow("grid6x6@dies=2x1");
+    const FlowResult b = runFlow("grid6x6@dies=2x1");
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
     EXPECT_TRUE(bitwiseSameNetlist(a.netlist, b.netlist));

@@ -210,12 +210,13 @@ execute_process(
     COMMAND "${QPLACER_CLI}" --help
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE help_text)
-string(FIND "${help_text}" "multidie.cutWeight" found)
+string(FIND "${help_text}" "portfolio.keepFrac" found)
 if(NOT rc EQUAL 0 OR found EQUAL -1)
     message(FATAL_ERROR "--help does not list every --set key:\n${help_text}")
 endif()
 foreach(removed_key IN ITEMS legalizer.referenceProbes
-                             legalizer.flowSparseThreshold)
+                             legalizer.flowSparseThreshold
+                             multidie.cutWeight)
     execute_process(
         COMMAND "${QPLACER_CLI}" --topology grid3x3
                 --set ${removed_key}=1 --quiet

@@ -222,6 +222,8 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"type":"submit","id":"x","topology":"g","set":{"assigner.referenceEngine":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"builder.reference":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"legalizer.referenceProbes":1}})",
+        // Deleted knob: the multi-die cut penalty is gone.
+        R"({"type":"submit","id":"x","topology":"g","set":{"multidie.cutWeight":1}})",
         R"({"type":"submit","id":"x","topology":"g","set":{"placer.maxIters":[1]}})",
         R"({"type":"submit","id":"x","topology":"g","base":""})",
         R"({"type":"submit","id":"x","topology":"g","mode":"human","base":"y"})",
